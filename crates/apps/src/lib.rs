@@ -13,7 +13,7 @@
 //! * a deterministic **input generator**, and
 //! * `hints` for the HLS trip-count resolution.
 //!
-//! The test-suite of every module checks `interpreted kernel ==
+//! The test-suite of every module checks `executed kernel ==
 //! reference`, which is exactly the property that makes the simulated
 //! accelerator results trustworthy.
 

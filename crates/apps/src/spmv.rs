@@ -9,7 +9,7 @@
 use ecoscale_hls::KernelArgs;
 use ecoscale_sim::SimRng;
 
-/// CSR SpMV as an HLS kernel. The interpreter executes it fine; the
+/// CSR SpMV as an HLS kernel. The executor runs it fine; the
 /// estimator rejects it (unresolvable trip counts), as intended.
 pub const KERNEL: &str = "kernel spmv(in float vals[], in float cols[], in float rowptr[], in float x[], out float y[], int rows) {
     for (i in 0 .. rows) {

@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! exp_all [--scale quick|full] [--trace FILE] [--metrics FILE] [--profile FILE]
-//!         [--telemetry FILE] [--flight-dump DIR]
+//!         [--timing FILE] [--telemetry FILE] [--flight-dump DIR]
 //!         [--faults SPEC] [--serve SPEC] [--serve-out FILE] [KEY...]
 //! exp_all --scale quick e03 e09    # just E3 and E9, reduced sweeps
 //! exp_all --scale quick --trace t.json --metrics m.json e03
@@ -32,6 +32,13 @@
 //! deterministic — the file is byte-identical at any `ECOSCALE_THREADS`
 //! or `ECOSCALE_SHARDS` — and the rendered tables go to stdout. The
 //! engine's host-dependent wall-clock phase timers go to stderr only.
+//!
+//! Every run prints each selected key's host wall time to stderr, and
+//! `--timing FILE` also writes it as JSON (`{"scale", "threads",
+//! "host_cores", "total_s", "keys": [{"key", "wall_s"}]}`). Like the
+//! `--profile` wall timers it is host-dependent, so it never reaches
+//! stdout. Keys run concurrently above `ECOSCALE_THREADS=1`, so their
+//! walls overlap there; `total_s` is the wall of the whole table phase.
 //!
 //! `--telemetry` writes the TelePlane capture (DESIGN.md §15): the
 //! merged serving window series, one flight recorder per serving cell,
@@ -60,6 +67,7 @@
 //! `ECOSCALE_THREADS`/`ECOSCALE_SHARDS`).
 
 use std::process::ExitCode;
+use std::time::Instant;
 
 use ecoscale_apps::mix::serve_mix;
 use ecoscale_bench::obs::{
@@ -76,13 +84,15 @@ use ecoscale_sim::{pool, prof, CampaignSpec, Duration, TelemetryConfig, Time};
 
 fn usage() {
     eprintln!(
-        "usage: exp_all [--scale quick|full] [--trace FILE] [--metrics FILE] [--profile FILE] [--telemetry FILE] [--flight-dump DIR] [--faults SPEC] [--serve SPEC] [--serve-out FILE] [--snapshot-at T --snapshot-out FILE | --resume FILE] [KEY...]"
+        "usage: exp_all [--scale quick|full] [--trace FILE] [--metrics FILE] [--profile FILE] [--timing FILE] [--telemetry FILE] [--flight-dump DIR] [--faults SPEC] [--serve SPEC] [--serve-out FILE] [--snapshot-at T --snapshot-out FILE | --resume FILE] [KEY...]"
     );
     eprintln!("  --scale quick|full   sweep sizes (default: full)");
     eprintln!("  --trace FILE         write a Chrome/Perfetto trace of an instrumented run");
     eprintln!("  --metrics FILE       write the metrics registry of an instrumented run as JSON");
     eprintln!("  --profile FILE       write the ProfPlane critical-path blame + shard occupancy");
     eprintln!("                       report of an instrumented run as JSON");
+    eprintln!("  --timing FILE        write each key's host wall time as JSON (the same");
+    eprintln!("                       table always goes to stderr)");
     eprintln!("  --telemetry FILE     write the TelePlane capture (windowed serving series +");
     eprintln!("                       flight recorders + shard window series) as JSON; with");
     eprintln!("                       --serve, the serving half comes from that run");
@@ -111,12 +121,44 @@ fn usage() {
     eprintln!();
 }
 
+/// The per-key host wall table printed to stderr.
+fn wall_table(walls: &[(&str, f64)], total_s: f64) -> String {
+    let mut s = format!(
+        "host wall per key (ECOSCALE_THREADS={}, host-dependent)\n",
+        pool::thread_count()
+    );
+    for (key, wall_s) in walls {
+        s.push_str(&format!("  {key:<6} {wall_s:>9.3} s\n"));
+    }
+    s.push_str(&format!("  {:<6} {total_s:>9.3} s\n", "total"));
+    s
+}
+
+/// The `--timing` JSON document.
+fn wall_json(scale: Scale, walls: &[(&str, f64)], total_s: f64) -> String {
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let scale = match scale {
+        Scale::Quick => "quick",
+        Scale::Full => "full",
+    };
+    let keys: Vec<String> = walls
+        .iter()
+        .map(|(key, wall_s)| format!("{{\"key\":\"{key}\",\"wall_s\":{wall_s}}}"))
+        .collect();
+    format!(
+        "{{\"scale\":\"{scale}\",\"threads\":{},\"host_cores\":{host_cores},\"total_s\":{total_s},\"keys\":[{}]}}",
+        pool::thread_count(),
+        keys.join(",")
+    )
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Full;
     let mut trace_path: Option<String> = None;
     let mut metrics_path: Option<String> = None;
     let mut profile_path: Option<String> = None;
+    let mut timing_path: Option<String> = None;
     let mut faults: Option<CampaignSpec> = None;
     let mut serve: Option<ServeSpec> = None;
     let mut serve_out: Option<String> = None;
@@ -133,8 +175,8 @@ fn main() -> ExitCode {
                 usage();
                 return ExitCode::SUCCESS;
             }
-            "--trace" | "--metrics" | "--profile" | "--serve-out" | "--snapshot-out"
-            | "--resume" | "--telemetry" | "--flight-dump" => {
+            "--trace" | "--metrics" | "--profile" | "--timing" | "--serve-out"
+            | "--snapshot-out" | "--resume" | "--telemetry" | "--flight-dump" => {
                 let Some(v) = it.next() else {
                     eprintln!("error: {arg} needs a file path");
                     usage();
@@ -143,6 +185,7 @@ fn main() -> ExitCode {
                 match arg.as_str() {
                     "--trace" => trace_path = Some(v.clone()),
                     "--metrics" => metrics_path = Some(v.clone()),
+                    "--timing" => timing_path = Some(v.clone()),
                     "--serve-out" => serve_out = Some(v.clone()),
                     "--snapshot-out" => snapshot_out = Some(v.clone()),
                     "--resume" => resume = Some(v.clone()),
@@ -259,9 +302,26 @@ fn main() -> ExitCode {
         .collect();
     // Whole tables run concurrently; printing happens afterwards in
     // registry (E1→A4) order.
-    let tables = pool::parallel_map(selected, |(_, run)| run(scale));
-    for table in tables {
+    let started = Instant::now();
+    let tables = pool::parallel_map(selected, |(key, run)| {
+        let t0 = Instant::now();
+        let table = run(scale);
+        (key, table, t0.elapsed().as_secs_f64())
+    });
+    let total_s = started.elapsed().as_secs_f64();
+    let mut walls = Vec::with_capacity(tables.len());
+    for (key, table, wall_s) in tables {
         println!("{table}");
+        walls.push((key, wall_s));
+    }
+    // host-dependent: stderr and the --timing file only, never stdout
+    eprint!("{}", wall_table(&walls, total_s));
+    if let Some(path) = &timing_path {
+        if let Err(e) = std::fs::write(path, wall_json(scale, &walls, total_s)) {
+            eprintln!("error: cannot write timing to `{path}`: {e}");
+            return ExitCode::FAILURE;
+        }
+        eprintln!("wrote timing to {path}");
     }
     let mut serve_telem: Option<ServeTelemetry> = None;
     let mut dump_snapshot: Option<Vec<u8>> = None;

@@ -661,3 +661,53 @@ fn snapshot_then_resume_round_trips_byte_identical_serving_json() {
     std::fs::remove_file(&full_json).ok();
     std::fs::remove_file(&resumed_json).ok();
 }
+
+#[test]
+fn timing_writes_per_key_walls_to_file_and_stderr_only() {
+    let timing_path = tmp("timing.json");
+    let out = exp_all()
+        .args(["--scale", "quick", "--timing"])
+        .arg(&timing_path)
+        .args(["e01", "e03"])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(!stdout.contains("host wall"), "stdout: {stdout}");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("host wall per key"), "stderr: {err}");
+    assert!(err.contains("wrote timing to"), "stderr: {err}");
+
+    let text = std::fs::read_to_string(&timing_path).unwrap();
+    let doc = json::parse(&text).expect("timing JSON parses");
+    assert_eq!(doc.get("scale").and_then(Value::as_str), Some("quick"));
+    assert!(doc.get("host_cores").and_then(Value::as_f64).unwrap() >= 1.0);
+    let total = doc.get("total_s").and_then(Value::as_f64).unwrap();
+    let keys = doc.get("keys").and_then(Value::as_arr).expect("keys array");
+    let names: Vec<_> = keys
+        .iter()
+        .map(|k| k.get("key").and_then(Value::as_str).expect("key"))
+        .collect();
+    assert_eq!(names, ["e01", "e03"], "registry order");
+    for k in keys {
+        let wall = k.get("wall_s").and_then(Value::as_f64).expect("wall_s");
+        assert!(wall >= 0.0 && wall <= total, "{wall} vs total {total}");
+    }
+    std::fs::remove_file(&timing_path).ok();
+}
+
+#[test]
+fn missing_timing_value_exits_2_with_message() {
+    let out = exp_all().arg("--timing").output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        err.contains("error: --timing needs a file path"),
+        "stderr: {err}"
+    );
+    assert!(err.contains("usage: exp_all"), "stderr: {err}");
+}

@@ -13,6 +13,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use ecoscale_fpga::{Resources, SeuScrubber};
 use ecoscale_hls::{
@@ -223,7 +224,7 @@ impl SystemBuilder {
             library,
             kernels: parsed
                 .into_iter()
-                .map(|(k, _)| (k.name().to_owned(), k))
+                .map(|(k, _)| (k.name().to_owned(), Arc::new(k)))
                 .collect(),
             unilogic: UnilogicModel::default(),
             clock: Time::ZERO,
@@ -256,7 +257,8 @@ pub struct EcoscaleSystem {
     net: Network<TreeTopology>,
     mem: UnimemSystem,
     library: ModuleLibrary,
-    kernels: HashMap<String, ecoscale_hls::Kernel>,
+    /// Shared with each call, which needs the kernel past `&mut self`.
+    kernels: HashMap<String, Arc<ecoscale_hls::Kernel>>,
     unilogic: UnilogicModel,
     clock: Time,
     energy: Energy,
@@ -711,13 +713,11 @@ impl EcoscaleSystem {
         function: &str,
         args: &mut KernelArgs,
     ) -> Result<CallOutcome, CallError> {
-        let kernel = self
-            .kernels
-            .get(function)
-            .ok_or_else(|| CallError::UnknownFunction {
+        let kernel = self.kernels.get(function).map(Arc::clone).ok_or_else(|| {
+            CallError::UnknownFunction {
                 name: function.to_owned(),
-            })?
-            .clone();
+            }
+        })?;
 
         // features and work estimate from the actual arguments
         let mut hints = HashMap::new();

@@ -3,10 +3,13 @@
 //! A [`Kernel`] is a named function over array and scalar parameters whose
 //! body is a tree of counted loops, conditional blocks, scalar
 //! assignments, and array stores. This is the common representation for
-//! the parser, interpreter, cost estimator and design-space explorer —
+//! the parser, executor, cost estimator and design-space explorer —
 //! one definition of the computation, consumed four ways.
 
 use core::fmt;
+use std::sync::Arc;
+
+use crate::exec::Program;
 
 /// How a kernel parameter is used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -370,15 +373,37 @@ impl fmt::Display for Kernel {
 /// assert_eq!(k.name(), "vadd");
 /// assert_eq!(k.arrays().count(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A kernel is immutable: [`Kernel::new`] lowers the body once into the
+/// register program [`KernelArgs::run`](crate::KernelArgs::run)
+/// executes, and clones share that program.
+#[derive(Clone)]
 pub struct Kernel {
     name: String,
     params: Vec<Param>,
     body: Vec<Stmt>,
+    program: Arc<Program>,
+}
+
+/// Kernels are equal when their source is: the program is derived.
+impl PartialEq for Kernel {
+    fn eq(&self, other: &Kernel) -> bool {
+        self.name == other.name && self.params == other.params && self.body == other.body
+    }
+}
+
+impl fmt::Debug for Kernel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Kernel")
+            .field("name", &self.name)
+            .field("params", &self.params)
+            .field("body", &self.body)
+            .finish()
+    }
 }
 
 impl Kernel {
-    /// Creates a kernel.
+    /// Creates a kernel and lowers its body for execution.
     ///
     /// # Panics
     ///
@@ -389,11 +414,18 @@ impl Kernel {
                 assert!(p.name != q.name, "duplicate parameter `{}`", p.name);
             }
         }
+        let program = Arc::new(Program::lower(&params, &body));
         Kernel {
             name: name.to_owned(),
             params,
             body,
+            program,
         }
+    }
+
+    /// The lowered program.
+    pub(crate) fn program(&self) -> &Program {
+        &self.program
     }
 
     /// The kernel name.

@@ -10,9 +10,10 @@
 //! * [`ir`] — the kernel intermediate representation (loops, array
 //!   loads/stores, scalar dataflow),
 //! * [`parser`] — a compact OpenCL-like textual kernel language,
-//! * [`interp`] — a functional interpreter: the *same IR* that is costed
-//!   is also executed, so accelerated results are bit-identical to
-//!   software results (a property the test-suite leans on),
+//! * [`exec`] — kernel execution: each kernel is lowered once into a
+//!   slot-resolved register program, so the *same IR* that is costed is
+//!   also executed and accelerated results are bit-identical to software
+//!   results (a property the test-suite leans on),
 //! * [`transform`] — constant folding and algebraic simplification,
 //! * [`analysis`] — trip counts, operation censuses, loop-carried
 //!   dependence detection,
@@ -25,7 +26,7 @@
 pub mod analysis;
 pub mod dse;
 pub mod estimate;
-pub mod interp;
+pub mod exec;
 pub mod ir;
 pub mod parser;
 pub mod transform;
@@ -33,7 +34,7 @@ pub mod transform;
 pub use analysis::{KernelAnalysis, LoopInfo, OpCensus};
 pub use dse::{DesignPoint, Explorer, ModuleLibrary};
 pub use estimate::{DesignEstimate, EstimateError, HlsDirectives, OpCosts};
-pub use interp::{ExecKernelError, KernelArgs, Value};
+pub use exec::{ExecKernelError, KernelArgs, Value};
 pub use ir::{BinOp, Expr, Kernel, Param, ParamKind, Stmt, UnOp};
 pub use parser::{parse_kernel, ParseKernelError};
 pub use transform::{fold_expr, fold_kernel};

@@ -4,7 +4,7 @@
 //! strip arithmetic identities (`x·1`, `x+0`, `x/1`), and resolve
 //! constant-condition selects. Fewer IR operators means smaller
 //! estimated datapaths — the estimator charges what the folded kernel
-//! actually contains — while the interpreter guarantees the meaning is
+//! actually contains — while the executor guarantees the meaning is
 //! unchanged (tested below by running both versions).
 
 use crate::ir::{BinOp, Expr, Kernel, Stmt, UnOp};
@@ -179,7 +179,7 @@ pub fn fold_kernel(kernel: &Kernel) -> Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::KernelArgs;
+    use crate::exec::KernelArgs;
     use crate::parser::parse_kernel;
 
     fn assert_same_behaviour(src: &str, n: usize) {

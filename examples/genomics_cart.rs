@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let sw_tree = cart::build_tree(&train, 5, 16, &mut sw_scan);
 
     // "hardware" Gini scan: the same computation through the HLS kernel
-    // interpreter (what the simulated accelerator executes)
+    // executor (what the simulated accelerator executes)
     let kernel = parse_kernel(cart::KERNEL)?;
     let mut scans = 0u64;
     let mut hw_scan = |x: &[f64], y: &[f64], t: &[f64]| {

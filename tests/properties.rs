@@ -369,17 +369,49 @@ fn linear_model_recovers_exact_lines() {
 // ----------------------------------------------------------------------
 // hls: printer/parser round trip on random kernels
 // ----------------------------------------------------------------------
+/// A leaf expression. Beyond constants, parameters and `a[i]`, leaves
+/// read a loop variable (also after its loop), a local that may not be
+/// assigned yet, a bound scalar and arrays that are not parameters, a
+/// name nothing defines, and NaN/∞.
+fn arb_leaf(rng: &mut SimRng) -> ecoscale::hls::Expr {
+    use ecoscale::hls::Expr;
+    match rng.gen_range_usize(0, 24) {
+        0..=2 => {
+            Expr::Const(rng.gen_range_u64(0, 100) as f64 + rng.gen_range_u64(0, 10) as f64 / 10.0)
+        }
+        3..=5 => Expr::Const(rng.gen_range_u64(0, 4) as f64),
+        6..=8 => Expr::var("x"),
+        9..=11 => Expr::var("i"),
+        12 | 13 => Expr::load("a", Expr::var("i")),
+        14 | 15 => Expr::var("j"),
+        16 | 17 => Expr::var("t"),
+        18 | 19 => Expr::var("y"),
+        20 => Expr::var("ghost"),
+        21 | 22 => {
+            let array = *rng.choose(&["b", "c"]);
+            let index = *rng.choose(&["j", "t", "x", "i"]);
+            Expr::load(array, Expr::var(index))
+        }
+        _ => arb_non_finite(rng),
+    }
+}
+
+/// `0/0`, `1/0` or `-(1/0)`.
+fn arb_non_finite(rng: &mut SimRng) -> ecoscale::hls::Expr {
+    use ecoscale::hls::{BinOp, Expr, UnOp};
+    let num = if rng.gen_bool(0.5) { 0.0 } else { 1.0 };
+    let e = Expr::bin(BinOp::Div, Expr::Const(num), Expr::Const(0.0));
+    if rng.gen_bool(0.3) {
+        Expr::un(UnOp::Neg, e)
+    } else {
+        e
+    }
+}
+
 fn arb_expr(rng: &mut SimRng, depth: u32) -> ecoscale::hls::Expr {
     use ecoscale::hls::{BinOp, Expr, UnOp};
     if depth == 0 || rng.gen_bool(0.35) {
-        return match rng.gen_range_usize(0, 4) {
-            0 => Expr::Const(
-                rng.gen_range_u64(0, 100) as f64 + rng.gen_range_u64(0, 10) as f64 / 10.0,
-            ),
-            1 => Expr::var("x"),
-            2 => Expr::var("i"),
-            _ => Expr::load("a", Expr::var("i")),
-        };
+        return arb_leaf(rng);
     }
     match rng.gen_range_usize(0, 3) {
         0 => {
@@ -431,29 +463,54 @@ fn arb_expr(rng: &mut SimRng, depth: u32) -> ecoscale::hls::Expr {
     }
 }
 
+/// A loop bound: a small constant (so zero-trip and negative ranges
+/// occur), NaN/∞, or any expression clamped to `[-2, 5]` so a kernel
+/// always finishes.
+fn arb_bound(rng: &mut SimRng) -> ecoscale::hls::Expr {
+    use ecoscale::hls::{BinOp, Expr, UnOp};
+    match rng.gen_range_usize(0, 8) {
+        0 => arb_non_finite(rng),
+        1 => Expr::Const(rng.gen_range_u64(0, 5) as f64),
+        2 => Expr::un(UnOp::Neg, Expr::Const(rng.gen_range_u64(1, 3) as f64)),
+        _ => Expr::bin(
+            BinOp::Min,
+            Expr::bin(
+                BinOp::Max,
+                arb_expr(rng, 1),
+                Expr::un(UnOp::Neg, Expr::Const(2.0)),
+            ),
+            Expr::Const(5.0),
+        ),
+    }
+}
+
+/// A statement over the leaves of [`arb_leaf`]: assignments to a local,
+/// a loop variable and a scalar parameter; stores to the `out` array,
+/// the `in` array and an array that is not a parameter; loops over a
+/// fresh variable or over the parameter `i`; and conditionals.
 fn arb_stmt(rng: &mut SimRng, depth: u32) -> ecoscale::hls::Stmt {
     use ecoscale::hls::Stmt;
     if depth == 0 || rng.gen_bool(0.5) {
         if rng.gen_bool(0.5) {
             Stmt::Assign {
-                var: "t".into(),
+                var: (*rng.choose(&["t", "t", "x", "j"])).into(),
                 value: arb_expr(rng, 2),
             }
         } else {
             Stmt::Store {
-                array: "b".into(),
+                array: (*rng.choose(&["b", "b", "b", "b", "a", "c"])).into(),
                 index: arb_expr(rng, 2),
                 value: arb_expr(rng, 2),
             }
         }
     } else if rng.gen_bool(0.5) {
-        let start = arb_expr(rng, 1);
-        let end = arb_expr(rng, 1);
+        let start = arb_bound(rng);
+        let end = arb_bound(rng);
         let body = (0..rng.gen_range_usize(1, 3))
             .map(|_| arb_stmt(rng, depth - 1))
             .collect();
         Stmt::For {
-            var: "j".into(),
+            var: (*rng.choose(&["j", "j", "i"])).into(),
             start,
             end,
             body,
@@ -467,6 +524,426 @@ fn arb_stmt(rng: &mut SimRng, depth: u32) -> ecoscale::hls::Stmt {
             .map(|_| arb_stmt(rng, depth - 1))
             .collect();
         Stmt::If { cond, then, els }
+    }
+}
+
+/// The parameters of every random kernel.
+fn arb_params() -> Vec<ecoscale::hls::Param> {
+    use ecoscale::hls::{Param, ParamKind};
+    vec![
+        Param::new("a", ParamKind::ArrayIn),
+        Param::new("b", ParamKind::ArrayOut),
+        Param::new("x", ParamKind::Scalar),
+        Param::new("i", ParamKind::Scalar),
+    ]
+}
+
+// ----------------------------------------------------------------------
+// hls: the lowered executor vs the tree-walking reference
+// ----------------------------------------------------------------------
+
+/// The tree-walking interpreter that `KernelArgs::run` replaced, kept as
+/// its reference: every name is looked up by string on every access, in
+/// the evaluation order the executor must reproduce. It differs from
+/// the original only in refusing non-finite indices and loop bounds.
+mod tree_walk {
+    use std::collections::HashMap;
+
+    use ecoscale::hls::{BinOp, ExecKernelError, Expr, Kernel, ParamKind, Stmt, UnOp};
+
+    type Value = f64;
+
+    pub fn run(
+        kernel: &Kernel,
+        arrays: &mut HashMap<String, Vec<Value>>,
+        scalars: &HashMap<String, Value>,
+    ) -> Result<(), ExecKernelError> {
+        for p in kernel.params() {
+            let bound = if p.is_array() {
+                arrays.contains_key(&p.name)
+            } else {
+                scalars.contains_key(&p.name)
+            };
+            if !bound {
+                return Err(ExecKernelError::MissingArg {
+                    name: p.name.clone(),
+                });
+            }
+        }
+        let read_only: Vec<String> = kernel
+            .params()
+            .iter()
+            .filter(|p| p.kind == ParamKind::ArrayIn)
+            .map(|p| p.name.clone())
+            .collect();
+        let mut env = Env {
+            arrays,
+            locals: scalars.clone(),
+            read_only,
+        };
+        exec_block(kernel.body(), &mut env)
+    }
+
+    struct Env<'a> {
+        arrays: &'a mut HashMap<String, Vec<Value>>,
+        locals: HashMap<String, Value>,
+        read_only: Vec<String>,
+    }
+
+    fn truthy(v: Value) -> bool {
+        v != 0.0
+    }
+
+    /// The one change from the original: `v as i64` turned NaN into 0
+    /// and ±∞ into the saturated extremes.
+    fn to_int(v: Value, what: impl FnOnce() -> String) -> Result<i64, ExecKernelError> {
+        if v.is_finite() {
+            Ok(v as i64)
+        } else {
+            Err(ExecKernelError::NonFinite { what: what() })
+        }
+    }
+
+    fn eval(e: &Expr, env: &Env<'_>) -> Result<Value, ExecKernelError> {
+        match e {
+            Expr::Const(v) => Ok(*v),
+            Expr::Var(name) => env
+                .locals
+                .get(name)
+                .copied()
+                .ok_or_else(|| ExecKernelError::UnknownName { name: name.clone() }),
+            Expr::Load { array, index } => {
+                let idx = to_int(eval(index, env)?, || format!("index into `{array}`"))?;
+                let buf = env
+                    .arrays
+                    .get(array)
+                    .ok_or_else(|| ExecKernelError::UnknownName {
+                        name: array.clone(),
+                    })?;
+                if idx < 0 || idx as usize >= buf.len() {
+                    return Err(ExecKernelError::IndexOutOfBounds {
+                        array: array.clone(),
+                        index: idx,
+                        len: buf.len(),
+                    });
+                }
+                Ok(buf[idx as usize])
+            }
+            Expr::Unary(op, a) => {
+                let v = eval(a, env)?;
+                Ok(match op {
+                    UnOp::Neg => -v,
+                    UnOp::Sqrt => v.sqrt(),
+                    UnOp::Exp => v.exp(),
+                    UnOp::Log => v.ln(),
+                    UnOp::Abs => v.abs(),
+                    UnOp::Floor => v.floor(),
+                    UnOp::Not => {
+                        if truthy(v) {
+                            0.0
+                        } else {
+                            1.0
+                        }
+                    }
+                })
+            }
+            Expr::Binary(op, a, b) => {
+                let x = eval(a, env)?;
+                let y = eval(b, env)?;
+                Ok(match op {
+                    BinOp::Add => x + y,
+                    BinOp::Sub => x - y,
+                    BinOp::Mul => x * y,
+                    BinOp::Div => x / y,
+                    BinOp::Min => x.min(y),
+                    BinOp::Max => x.max(y),
+                    BinOp::Rem => x % y,
+                    BinOp::Lt => (x < y) as u8 as f64,
+                    BinOp::Le => (x <= y) as u8 as f64,
+                    BinOp::Gt => (x > y) as u8 as f64,
+                    BinOp::Ge => (x >= y) as u8 as f64,
+                    BinOp::Eq => (x == y) as u8 as f64,
+                    BinOp::And => (truthy(x) && truthy(y)) as u8 as f64,
+                    BinOp::Or => (truthy(x) || truthy(y)) as u8 as f64,
+                })
+            }
+            Expr::Select { cond, then, els } => {
+                if truthy(eval(cond, env)?) {
+                    eval(then, env)
+                } else {
+                    eval(els, env)
+                }
+            }
+        }
+    }
+
+    fn exec_block(stmts: &[Stmt], env: &mut Env<'_>) -> Result<(), ExecKernelError> {
+        for s in stmts {
+            match s {
+                Stmt::Assign { var, value } => {
+                    let v = eval(value, env)?;
+                    env.locals.insert(var.clone(), v);
+                }
+                Stmt::Store {
+                    array,
+                    index,
+                    value,
+                } => {
+                    if env.read_only.iter().any(|a| a == array) {
+                        return Err(ExecKernelError::WriteToInput {
+                            array: array.clone(),
+                        });
+                    }
+                    let idx = to_int(eval(index, env)?, || format!("index into `{array}`"))?;
+                    let v = eval(value, env)?;
+                    let buf =
+                        env.arrays
+                            .get_mut(array)
+                            .ok_or_else(|| ExecKernelError::UnknownName {
+                                name: array.clone(),
+                            })?;
+                    if idx < 0 || idx as usize >= buf.len() {
+                        return Err(ExecKernelError::IndexOutOfBounds {
+                            array: array.clone(),
+                            index: idx,
+                            len: buf.len(),
+                        });
+                    }
+                    buf[idx as usize] = v;
+                }
+                Stmt::For {
+                    var,
+                    start,
+                    end,
+                    body,
+                } => {
+                    let s0 = to_int(eval(start, env)?, || format!("start of loop `{var}`"))?;
+                    let e0 = to_int(eval(end, env)?, || format!("end of loop `{var}`"))?;
+                    for i in s0..e0 {
+                        env.locals.insert(var.clone(), i as f64);
+                        exec_block(body, env)?;
+                    }
+                }
+                Stmt::If { cond, then, els } => {
+                    if truthy(eval(cond, env)?) {
+                        exec_block(then, env)?;
+                    } else {
+                        exec_block(els, env)?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The bindings of one differential case, in binding order.
+#[derive(Debug, Clone, Default)]
+struct Bindings {
+    arrays: Vec<(String, Vec<f64>)>,
+    scalars: Vec<(String, f64)>,
+}
+
+impl Bindings {
+    /// The bindings of `args` a kernel's parameters can see.
+    fn of(kernel: &ecoscale::hls::Kernel, args: &ecoscale::hls::KernelArgs) -> Bindings {
+        let mut b = Bindings::default();
+        for p in kernel.params() {
+            if let Some(v) = args.array(&p.name) {
+                b.arrays.push((p.name.clone(), v.to_vec()));
+            } else if let Some(v) = args.scalar(&p.name) {
+                b.scalars.push((p.name.clone(), v));
+            }
+        }
+        b
+    }
+
+    fn args(&self) -> ecoscale::hls::KernelArgs {
+        let mut args = ecoscale::hls::KernelArgs::new();
+        for (name, v) in &self.arrays {
+            args.bind_array(name, v.clone());
+        }
+        for (name, v) in &self.scalars {
+            args.bind_scalar(name, *v);
+        }
+        args
+    }
+}
+
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Runs `kernel` on both executors from the same bindings; describes the
+/// first difference in result, array contents (bit for bit, after an
+/// error too) or scalar bindings.
+fn exec_diff(kernel: &ecoscale::hls::Kernel, binds: &Bindings) -> Option<String> {
+    use std::collections::HashMap;
+    let mut args = binds.args();
+    let mut arrays: HashMap<String, Vec<f64>> = binds.arrays.iter().cloned().collect();
+    let scalars: HashMap<String, f64> = binds.scalars.iter().cloned().collect();
+    let got = args.run(kernel);
+    let want = tree_walk::run(kernel, &mut arrays, &scalars);
+    if got != want {
+        return Some(format!("result {got:?}, reference {want:?}"));
+    }
+    for (name, want) in &arrays {
+        let got = args.array(name).expect("bound above");
+        if !same_bits(got, want) {
+            return Some(format!("array `{name}` {got:?}, reference {want:?}"));
+        }
+    }
+    for (name, want) in &scalars {
+        if args.scalar(name).map(f64::to_bits) != Some(want.to_bits()) {
+            return Some(format!("scalar `{name}` rebound"));
+        }
+    }
+    None
+}
+
+/// Checks the executor against the reference; on divergence shrinks the
+/// body to a 1-minimal failing statement list and panics with the kernel
+/// on one line.
+fn assert_exec_matches(what: &str, kernel: &ecoscale::hls::Kernel, binds: &Bindings) {
+    use ecoscale::hls::Kernel;
+    let Some(msg) = exec_diff(kernel, binds) else {
+        return;
+    };
+    let rebuilt = |body: &[ecoscale::hls::Stmt]| {
+        Kernel::new(kernel.name(), kernel.params().to_vec(), body.to_vec())
+    };
+    let min =
+        ecoscale::sim::check::shrink(kernel.body(), |s| exec_diff(&rebuilt(s), binds).is_some());
+    let small = rebuilt(&min);
+    let detail = exec_diff(&small, binds).unwrap_or(msg);
+    let one_line = small
+        .to_string()
+        .split_whitespace()
+        .collect::<Vec<_>>()
+        .join(" ");
+    panic!("{what}: executor diverged from the tree-walking reference: {detail}\nrepro: {one_line} with {binds:?}");
+}
+
+/// A bound value: mostly small integers (usable as indices), sometimes a
+/// fraction, NaN or ∞.
+fn arb_value(rng: &mut SimRng) -> f64 {
+    match rng.gen_range_usize(0, 10) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => -1.5,
+        3 => 2.5,
+        _ => rng.gen_range_u64(0, 6) as f64,
+    }
+}
+
+/// Bindings for [`arb_params`] plus names that are not parameters:
+/// array `c`, scalar `y` and, rarely, the local `t`. A parameter is
+/// occasionally left unbound.
+fn arb_bindings(rng: &mut SimRng) -> Bindings {
+    let mut b = Bindings::default();
+    for (name, p) in [("a", 0.99), ("b", 0.99), ("c", 0.8)] {
+        if rng.gen_bool(p) {
+            let len = rng.gen_range_usize(0, 7);
+            let v = (0..len).map(|_| arb_value(rng)).collect();
+            b.arrays.push((name.to_owned(), v));
+        }
+    }
+    for (name, p) in [("x", 0.99), ("i", 0.99), ("y", 0.7), ("t", 0.15)] {
+        if rng.gen_bool(p) {
+            b.scalars.push((name.to_owned(), arb_value(rng)));
+        }
+    }
+    b
+}
+
+#[test]
+fn executor_matches_tree_walk_on_random_kernels() {
+    use ecoscale::hls::{ExecKernelError as E, Expr, Kernel, Stmt};
+    // outcomes: clean, non-finite, unknown name, out of bounds, write to
+    // input, missing argument
+    let mut seen = [0u32; 6];
+    for case in 0..2_048 {
+        let mut rng = case_rng(22, case);
+        let mut body = Vec::new();
+        if rng.gen_bool(0.6) {
+            // define the locals up front, so more kernels run to the end
+            for var in ["t", "j"] {
+                body.push(Stmt::Assign {
+                    var: var.into(),
+                    value: Expr::Const(rng.gen_range_u64(0, 4) as f64),
+                });
+            }
+        }
+        body.extend((0..rng.gen_range_usize(1, 6)).map(|_| arb_stmt(&mut rng, 2)));
+        let kernel = Kernel::new("fz", arb_params(), body);
+        let binds = arb_bindings(&mut rng);
+        seen[match binds.args().run(&kernel) {
+            Ok(()) => 0,
+            Err(E::NonFinite { .. }) => 1,
+            Err(E::UnknownName { .. }) => 2,
+            Err(E::IndexOutOfBounds { .. }) => 3,
+            Err(E::WriteToInput { .. }) => 4,
+            Err(E::MissingArg { .. }) => 5,
+        }] += 1;
+        assert_exec_matches(&format!("random case {case}"), &kernel, &binds);
+    }
+    assert!(
+        seen.iter().all(|&n| n >= 20),
+        "every outcome is exercised: {seen:?}"
+    );
+}
+
+#[test]
+fn executor_matches_tree_walk_on_app_kernels() {
+    use ecoscale::apps::{blackscholes, cart, fir, gemm, montecarlo, nbody, spmv, stencil};
+    use ecoscale::hls::{parse_kernel, KernelArgs};
+    let mut cases: Vec<(String, &str, KernelArgs)> = Vec::new();
+    for (case, n) in [1usize, 5, 17].into_iter().enumerate() {
+        let seed = case as u64 + 3;
+        let (s, k) = blackscholes::generate(n, seed);
+        let args = blackscholes::bind_args(&s, &k, 0.02, 0.3, 1.0);
+        cases.push(("blackscholes".into(), blackscholes::KERNEL, args));
+        let (x, h) = fir::generate(n, 4, seed);
+        cases.push(("fir".into(), fir::KERNEL, fir::bind_args(&x, &h, n)));
+        let (a, b) = (gemm::generate(n, seed), gemm::generate(n, seed + 1));
+        cases.push(("gemm".into(), gemm::KERNEL, gemm::bind_args(&a, &b, n)));
+        let grid = stencil::generate(n + 2, seed);
+        cases.push((
+            "stencil".into(),
+            stencil::KERNEL,
+            stencil::bind_args(&grid, n + 2),
+        ));
+        let m = spmv::generate(n + 3, 2, seed);
+        let v = spmv::generate_vector(n + 3, seed);
+        cases.push(("spmv".into(), spmv::KERNEL, spmv::bind_args(&m, &v)));
+        let (px, py, mass) = nbody::generate(n + 1, seed);
+        cases.push((
+            "nbody".into(),
+            nbody::KERNEL,
+            nbody::bind_args(&px, &py, &mass),
+        ));
+        let z = montecarlo::generate_normals(n, seed);
+        let args = montecarlo::bind_args(&z, 100.0, 95.0, 0.02, 0.3, 1.0);
+        cases.push(("montecarlo".into(), montecarlo::KERNEL, args));
+        let data = cart::generate(8 * n, 2, seed);
+        let col = data.column(0);
+        let thresholds = cart::quantile_thresholds(&col, 4);
+        let args = cart::bind_args(&col, &data.labels, &thresholds);
+        cases.push(("cart".into(), cart::KERNEL, args));
+        let mixes = ecoscale::apps::mix::serve_mix()
+            .into_iter()
+            .chain(ecoscale::core::linear_test_mix());
+        for k in mixes {
+            cases.push((format!("serve {}", k.name), k.source, (k.bind)(n)));
+        }
+    }
+    for (name, src, args) in &cases {
+        let kernel = parse_kernel(src).expect("app kernels parse");
+        let binds = Bindings::of(&kernel, args);
+        assert_exec_matches(name, &kernel, &binds);
+        let mut run = args.clone();
+        run.run(&kernel)
+            .unwrap_or_else(|e| panic!("{name} must run clean: {e}"));
     }
 }
 
@@ -853,22 +1330,13 @@ fn smmu_matches_always_walk_oracle() {
 
 #[test]
 fn kernel_print_parse_round_trip() {
-    use ecoscale::hls::{Kernel, Param, ParamKind};
+    use ecoscale::hls::Kernel;
     for case in 0..48 {
         let mut rng = case_rng(15, case);
         let body: Vec<_> = (0..rng.gen_range_usize(1, 5))
             .map(|_| arb_stmt(&mut rng, 2))
             .collect();
-        let k = Kernel::new(
-            "rt",
-            vec![
-                Param::new("a", ParamKind::ArrayIn),
-                Param::new("b", ParamKind::ArrayOut),
-                Param::new("x", ParamKind::Scalar),
-                Param::new("i", ParamKind::Scalar),
-            ],
-            body,
-        );
+        let k = Kernel::new("rt", arb_params(), body);
         let printed = k.to_string();
         let reparsed = ecoscale::hls::parse_kernel(&printed)
             .unwrap_or_else(|e| panic!("case {case}: reparse failed: {e}\n{printed}"));
