@@ -75,6 +75,31 @@ fn malformed_serve_spec_exits_2_with_offending_pair() {
 }
 
 #[test]
+fn repeated_spec_key_exits_2_naming_the_key() {
+    for args in [
+        ["--serve", "seed=1,seed=2,tenants=2,horizon=100us", "e01"],
+        ["--faults", "seed=1,seed=2", "e16"],
+    ] {
+        let out = exp_all()
+            .args(["--scale", "quick"])
+            .args(args)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?}: no tables on a refused spec"
+        );
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("`seed=2`"), "{args:?}: {err}");
+        assert!(
+            err.contains("key `seed` given more than once"),
+            "{args:?}: {err}"
+        );
+    }
+}
+
+#[test]
 fn serve_out_without_serve_exits_2() {
     let out = exp_all()
         .args(["--serve-out", "never-written.json"])

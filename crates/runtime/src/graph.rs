@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
-use ecoscale_sim::{Duration, EventQueue, Time};
+use ecoscale_sim::{Duration, Time, TimingWheel};
 
 use crate::device::CpuModel;
 use crate::task::{Task, TaskId};
@@ -206,17 +206,20 @@ impl TaskGraph {
         let mut worker_free = vec![Time::ZERO; workers];
         let mut busy_time = vec![Duration::ZERO; workers];
         let mut finish_at = vec![Time::ZERO; n];
-        let mut q: EventQueue<usize> = EventQueue::new();
+        let mut q: TimingWheel<usize> = TimingWheel::new();
+        // Wheel key of the next completion: ties at equal times pop in
+        // dispatch order.
+        let mut seq = 0u64;
         let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
         let mut completed = 0usize;
 
         // Greedy dispatch helper.
-        let dispatch = |i: usize,
-                        now: Time,
-                        worker_free: &mut [Time],
-                        busy_time: &mut [Duration],
-                        q: &mut EventQueue<usize>,
-                        finish_at: &mut [Time]| {
+        let mut dispatch = |i: usize,
+                            now: Time,
+                            worker_free: &mut [Time],
+                            busy_time: &mut [Duration],
+                            q: &mut TimingWheel<usize>,
+                            finish_at: &mut [Time]| {
             let dep_ready = self.deps[i]
                 .iter()
                 .map(|&d| finish_at[d])
@@ -239,7 +242,8 @@ impl TaskGraph {
             worker_free[w] = start + t;
             busy_time[w] += t;
             finish_at[i] = start + t;
-            q.schedule(start + t, i);
+            q.schedule(start + t, seq, i);
+            seq += 1;
         };
 
         for i in ready.drain(..) {
@@ -252,7 +256,7 @@ impl TaskGraph {
                 &mut finish_at,
             );
         }
-        while let Some((now, i)) = q.pop() {
+        while let Some((now, _, i)) = q.pop() {
             completed += 1;
             for &s in &out[i] {
                 indeg[s] -= 1;

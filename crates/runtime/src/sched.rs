@@ -29,7 +29,7 @@ use ecoscale_noc::NodeId;
 use ecoscale_sim::check::{invariant, CheckPlane};
 use ecoscale_sim::fault::{salt, CampaignSpec, FaultClock};
 use ecoscale_sim::{
-    Counter, Duration, EventQueue, Histogram, MetricsRegistry, OnlineStats, SimRng, Time, Tracer,
+    Counter, Duration, Histogram, MetricsRegistry, OnlineStats, SimRng, Time, TimingWheel, Tracer,
     TrackId,
 };
 
@@ -100,6 +100,13 @@ enum Ev {
         worker: usize,
         task: usize,
     },
+}
+
+/// Schedules `ev` at `at` under the next sequence key, so events at
+/// equal times are delivered in the order they were scheduled.
+fn push(q: &mut TimingWheel<Ev>, seq: &mut u64, at: Time, ev: Ev) {
+    q.schedule(at, *seq, ev);
+    *seq += 1;
 }
 
 /// Simulates one Compute Node's workers executing a task trace.
@@ -322,7 +329,9 @@ impl ClusterSim {
         } else {
             None
         };
-        let mut q: EventQueue<Ev> = EventQueue::new();
+        let mut q: TimingWheel<Ev> = TimingWheel::new();
+        // Wheel key of the next `push`.
+        let mut seq = 0u64;
         // The lazy scheduler's historical probe backoff, expressed as a
         // resilience retry policy: 8x, 16x, then capped at 32x the probe
         // latency — bit-identical to the old `(4 << min(k, 3))` ladder.
@@ -357,14 +366,14 @@ impl ClusterSim {
         let mut lost = 0u64;
 
         for (i, t) in tasks.iter().enumerate() {
-            q.schedule(t.arrival, Ev::Arrive(i));
+            push(&mut q, &mut seq, t.arrival, Ev::Arrive(i));
         }
         // Lazy workers poll from the start: without an initial wake-up, a
         // worker that never receives an arrival would never steal.
         if let SchedPolicy::LazyLocal { .. } = self.policy {
             if let Some(first) = tasks.iter().map(|t| t.arrival).min() {
                 for w in 0..self.workers {
-                    q.schedule(first, Ev::Retry(w));
+                    push(&mut q, &mut seq, first, Ev::Retry(w));
                 }
             }
         }
@@ -372,7 +381,7 @@ impl ClusterSim {
         // Helper: execution time of a task on the CPU model.
         let exec_time = |task: &Task, cpu: &CpuModel| cpu.exec(task.flops(), task.mem_ops()).0;
 
-        while let Some((now, ev)) = q.pop() {
+        while let Some((now, _, ev)) = q.pop() {
             // CheckPlane cadence gate: read-only duplicate-task scan over
             // every queue and execution slot. One branch when disabled.
             if self.check.due() {
@@ -410,7 +419,16 @@ impl ClusterSim {
                         doomed[v] += 1; // swallow the pending Finish
                     }
                     for t in orphans.into_iter().chain(inflight) {
-                        Self::rehome(t, at, now, &mut f.mgr, &mut task_backoff, &mut q, &mut lost);
+                        Self::rehome(
+                            t,
+                            at,
+                            now,
+                            &mut f.mgr,
+                            &mut task_backoff,
+                            &mut q,
+                            &mut seq,
+                            &mut lost,
+                        );
                     }
                 } else {
                     // Transient stall: no new work until it clears.
@@ -431,6 +449,7 @@ impl ClusterSim {
                                 &mut f.mgr,
                                 &mut task_backoff,
                                 &mut q,
+                                &mut seq,
                                 &mut lost,
                             );
                         }
@@ -459,7 +478,7 @@ impl ClusterSim {
                             }
                             if !busy[home] {
                                 if now < stalled_until[home] {
-                                    q.schedule(stalled_until[home], Ev::Retry(home));
+                                    push(&mut q, &mut seq, stalled_until[home], Ev::Retry(home));
                                 } else {
                                     Self::start(
                                         home,
@@ -468,6 +487,7 @@ impl ClusterSim {
                                         &mut busy_time,
                                         &mut current,
                                         &mut q,
+                                        &mut seq,
                                         now,
                                         tasks,
                                         &self.cpu,
@@ -498,7 +518,7 @@ impl ClusterSim {
                             }
                             if !busy[w] {
                                 if now < stalled_until[w] {
-                                    q.schedule(stalled_until[w], Ev::Retry(w));
+                                    push(&mut q, &mut seq, stalled_until[w], Ev::Retry(w));
                                 } else {
                                     Self::start(
                                         w,
@@ -507,6 +527,7 @@ impl ClusterSim {
                                         &mut busy_time,
                                         &mut current,
                                         &mut q,
+                                        &mut seq,
                                         now,
                                         tasks,
                                         &self.cpu,
@@ -536,7 +557,12 @@ impl ClusterSim {
                                     overhead += done - now;
                                     dispatcher_free = done;
                                     messages += 2; // request + grant
-                                    q.schedule(done, Ev::Dispatched { worker: w, task: t });
+                                    push(
+                                        &mut q,
+                                        &mut seq,
+                                        done,
+                                        Ev::Dispatched { worker: w, task: t },
+                                    );
                                 }
                             }
                         }
@@ -554,6 +580,7 @@ impl ClusterSim {
                             &mut f.mgr,
                             &mut task_backoff,
                             &mut q,
+                            &mut seq,
                             &mut lost,
                         );
                         continue;
@@ -571,7 +598,7 @@ impl ClusterSim {
                         &tracks,
                         wait_track,
                     );
-                    q.schedule(now + d, Ev::Finish(worker));
+                    push(&mut q, &mut seq, now + d, Ev::Finish(worker));
                 }
                 Ev::Finish(w) | Ev::Retry(w) => {
                     if matches!(ev, Ev::Finish(_)) {
@@ -593,7 +620,7 @@ impl ClusterSim {
                     busy[w] = false;
                     if now < stalled_until[w] {
                         // stalled: wake again once the stall clears
-                        q.schedule(stalled_until[w], Ev::Retry(w));
+                        push(&mut q, &mut seq, stalled_until[w], Ev::Retry(w));
                         continue;
                     }
                     match self.policy {
@@ -605,7 +632,12 @@ impl ClusterSim {
                                 overhead += done - now;
                                 dispatcher_free = done;
                                 messages += 2;
-                                q.schedule(done, Ev::Dispatched { worker: w, task: t });
+                                push(
+                                    &mut q,
+                                    &mut seq,
+                                    done,
+                                    Ev::Dispatched { worker: w, task: t },
+                                );
                             }
                         }
                         SchedPolicy::RandomPush => {
@@ -617,6 +649,7 @@ impl ClusterSim {
                                     &mut busy_time,
                                     &mut current,
                                     &mut q,
+                                    &mut seq,
                                     now,
                                     tasks,
                                     &self.cpu,
@@ -637,6 +670,7 @@ impl ClusterSim {
                                     &mut busy_time,
                                     &mut current,
                                     &mut q,
+                                    &mut seq,
                                     now,
                                     tasks,
                                     &self.cpu,
@@ -684,7 +718,7 @@ impl ClusterSim {
                                         &tracks,
                                         wait_track,
                                     );
-                                    q.schedule(now + probe_cost + d, Ev::Finish(w));
+                                    push(&mut q, &mut seq, now + probe_cost + d, Ev::Finish(w));
                                 }
                                 // if nothing stolen the worker idles until
                                 // a new arrival lands in its queue; to keep
@@ -700,7 +734,7 @@ impl ClusterSim {
                                     let wait = steal_backoff[w]
                                         .next(&steal_policy)
                                         .expect("steal retry is unbounded");
-                                    q.schedule(now + probe_cost + wait, Ev::Retry(w));
+                                    push(&mut q, &mut seq, now + probe_cost + wait, Ev::Retry(w));
                                 }
                             }
                         }
@@ -815,7 +849,8 @@ impl ClusterSim {
         now: Time,
         mgr: &mut ResilienceManager,
         task_backoff: &mut [Backoff],
-        q: &mut EventQueue<Ev>,
+        q: &mut TimingWheel<Ev>,
+        seq: &mut u64,
         lost: &mut u64,
     ) {
         let policy = mgr.config().retry;
@@ -824,7 +859,7 @@ impl ClusterSim {
                 let fire = (at + delay).max(now);
                 mgr.note_retry();
                 mgr.note_recovery(fire.since(at));
-                q.schedule(fire, Ev::Arrive(task));
+                push(q, seq, fire, Ev::Arrive(task));
             }
             None => {
                 mgr.note_lost();
@@ -840,7 +875,8 @@ impl ClusterSim {
         busy: &mut [bool],
         busy_time: &mut [Duration],
         current: &mut [Option<usize>],
-        q: &mut EventQueue<Ev>,
+        q: &mut TimingWheel<Ev>,
+        seq: &mut u64,
         now: Time,
         tasks: &[TaskSpec],
         cpu: &CpuModel,
@@ -865,7 +901,7 @@ impl ClusterSim {
                 tracks,
                 wait_track,
             );
-            q.schedule(now + d, Ev::Finish(w));
+            push(q, seq, now + d, Ev::Finish(w));
         }
     }
 }

@@ -159,9 +159,11 @@ impl ServeSpec {
     ///
     /// # Errors
     ///
-    /// [`ServeSpecError`] names the offending pair.
+    /// [`ServeSpecError`] names the offending pair. A key given twice is
+    /// refused rather than letting the last value win.
     pub fn parse(s: &str) -> Result<ServeSpec, ServeSpecError> {
         let mut spec = ServeSpec::base();
+        let mut seen: Vec<&str> = Vec::new();
         for pair in s.split(',') {
             let pair = pair.trim();
             if pair.is_empty() {
@@ -176,7 +178,12 @@ impl ServeSpec {
                 reason: reason.to_owned(),
             };
             let value = value.trim();
-            match key.trim() {
+            let key = key.trim();
+            if seen.contains(&key) {
+                return Err(bad(&format!("key `{key}` given more than once")));
+            }
+            seen.push(key);
+            match key {
                 "seed" => spec.seed = value.parse().map_err(|_| bad("seed wants a u64"))?,
                 "tenants" => {
                     spec.tenants = value.parse().map_err(|_| bad("tenants wants a count"))?;
@@ -1735,6 +1742,14 @@ mod tests {
         assert!(ServeSpec::parse("horizon=fast").is_err());
         let err = ServeSpec::parse("deadline=nope").unwrap_err();
         assert!(err.to_string().contains("deadline=nope"));
+    }
+
+    #[test]
+    fn spec_rejects_repeated_keys() {
+        let err = ServeSpec::parse("seed=1,seed=2,tenants=2,horizon=100us").unwrap_err();
+        assert_eq!(err.pair, "seed=2");
+        assert!(err.to_string().contains("key `seed` given more than once"));
+        assert!(ServeSpec::parse("rate=1000, rate = 2000").is_err());
     }
 
     #[test]

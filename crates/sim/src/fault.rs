@@ -154,9 +154,11 @@ impl CampaignSpec {
     ///
     /// # Errors
     ///
-    /// [`SpecParseError`] names the offending pair.
+    /// [`SpecParseError`] names the offending pair. A key given twice is
+    /// refused rather than letting the last value win.
     pub fn parse(s: &str) -> Result<CampaignSpec, SpecParseError> {
         let mut spec = CampaignSpec::off();
+        let mut seen: Vec<&str> = Vec::new();
         for pair in s.split(',') {
             let pair = pair.trim();
             if pair.is_empty() {
@@ -170,7 +172,12 @@ impl CampaignSpec {
                 pair: pair.to_owned(),
                 reason: reason.to_owned(),
             };
-            match key.trim() {
+            let key = key.trim();
+            if seen.contains(&key) {
+                return Err(bad(&format!("key `{key}` given more than once")));
+            }
+            seen.push(key);
+            match key {
                 "seed" => {
                     spec.seed = value.trim().parse().map_err(|_| bad("seed wants a u64"))?;
                 }
@@ -562,6 +569,15 @@ mod tests {
         assert!(CampaignSpec::parse("seed=-3").is_err());
         let err = CampaignSpec::parse("smmu=nope").unwrap_err();
         assert!(err.to_string().contains("smmu=nope"));
+    }
+
+    #[test]
+    fn parse_rejects_repeated_keys() {
+        let err = CampaignSpec::parse("seed=1,crash=1ms,seed=2").unwrap_err();
+        assert_eq!(err.pair, "seed=2");
+        assert!(err.to_string().contains("key `seed` given more than once"));
+        // spacing does not make a repeat a new key
+        assert!(CampaignSpec::parse("crash=1ms, crash =2ms").is_err());
     }
 
     #[test]

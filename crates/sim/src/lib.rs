@@ -7,10 +7,12 @@
 //!
 //! * [`Time`] / [`Duration`] — picosecond-resolution virtual time,
 //! * [`Energy`] / [`Power`] — energy accounting newtypes,
-//! * [`EventQueue`] and the [`Simulation`] engine — a deterministic
-//!   discrete-event kernel with (time, sequence) tie-breaking,
-//! * [`TimingWheel`] — a hierarchical timing wheel with an arena of
-//!   reusable entries, the per-cluster queue behind the sharded engine,
+//! * [`TimingWheel`] — the discrete-event kernel: a hierarchical timing
+//!   wheel with an arena of reusable entries, delivering events in
+//!   `(time, key)` order. A run that passes an increasing sequence number
+//!   as the key gets FIFO delivery at equal times; it is the queue behind
+//!   the cluster scheduler, the task-graph executor and, per cluster, the
+//!   sharded engine,
 //! * [`shard`] — the conservative-parallel engine ([`ShardedEngine`]):
 //!   cluster-partitioned wheels synchronized by NoC-lookahead safe
 //!   windows, byte-identical to sequential execution at any
@@ -44,28 +46,30 @@
 //! # Determinism
 //!
 //! Every run of a simulation built on this crate is a pure function of its
-//! configuration and seeds: the event queue breaks ties by insertion
-//! sequence number, and all randomness flows through [`SimRng`].
+//! configuration and seeds: the timing wheel breaks ties at equal times by
+//! a caller-supplied key (a sequence number or a canonical event key), and
+//! all randomness flows through [`SimRng`].
 //!
 //! # Example
 //!
 //! ```
-//! use ecoscale_sim::{EventQueue, Time};
+//! use ecoscale_sim::{Time, TimingWheel};
 //!
 //! #[derive(Debug, PartialEq)]
 //! enum Ev { Ping, Pong }
 //!
-//! let mut q = EventQueue::new();
-//! q.schedule(Time::from_ns(10), Ev::Pong);
-//! q.schedule(Time::from_ns(5), Ev::Ping);
-//! let (t, ev) = q.pop().expect("queue is non-empty");
+//! let mut q = TimingWheel::new();
+//! let mut seq = 0u64; // key: scheduling order breaks ties
+//! for (at, ev) in [(10, Ev::Pong), (5, Ev::Ping)] {
+//!     q.schedule(Time::from_ns(at), seq, ev);
+//!     seq += 1;
+//! }
+//! let (t, _, ev) = q.pop().expect("queue is non-empty");
 //! assert_eq!((t, ev), (Time::from_ns(5), Ev::Ping));
 //! ```
 
 pub mod check;
 pub mod energy;
-pub mod engine;
-pub mod event;
 pub mod fault;
 pub mod json;
 pub mod metrics;
@@ -83,13 +87,11 @@ pub mod wheel;
 
 pub use check::{CheckPlane, Violation};
 pub use energy::{Energy, EnergyMeter, Power};
-pub use engine::{EventHandler, Simulation, StopReason};
-pub use event::EventQueue;
 pub use fault::{CampaignSpec, FaultClock, ProbFault};
 pub use metrics::{Instrument, MetricsRegistry};
 pub use prof::{Layer, ProfileReport, Profiler, ShardOccupancy};
 pub use rng::SimRng;
-pub use shard::{ClusterCtx, ClusterModel, ShardedEngine};
+pub use shard::{ClusterCtx, ClusterModel, ShardedEngine, StopReason};
 pub use snap::{
     Restore, RestoreError, SnapReader, SnapWriter, Snapshot, SnapshotBuilder, SnapshotFile,
 };

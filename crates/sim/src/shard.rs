@@ -79,13 +79,23 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::check::{invariant, CheckPlane};
-use crate::engine::StopReason;
 use crate::pool::RoundBarrier;
 use crate::prof::{Phase, Profiler, ShardOccupancy};
 use crate::snap::{malformed, Restore, RestoreError, SnapReader, SnapWriter, Snapshot};
 use crate::telem::TimeSeries;
 use crate::time::{Duration, Time};
 use crate::wheel::TimingWheel;
+
+/// Why a [`ShardedEngine::run_until`] call returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StopReason {
+    /// Every cluster's wheel drained.
+    QueueEmpty,
+    /// The next pending event lies beyond the requested horizon.
+    HorizonReached,
+    /// The event budget was exhausted (livelock guard).
+    BudgetExhausted,
+}
 
 /// Environment variable selecting the shard count (default: 1).
 pub const SHARDS_ENV: &str = "ECOSCALE_SHARDS";

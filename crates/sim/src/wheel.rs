@@ -1,7 +1,7 @@
 //! Hierarchical timing wheel with a reusable entry arena.
 //!
-//! [`TimingWheel`] is the sharded engine's per-cluster event queue: a
-//! hashed hierarchical wheel (11 levels × 64 slots covering the full
+//! [`TimingWheel`] is the simulator's one event queue: a hashed
+//! hierarchical wheel (11 levels × 64 slots covering the full
 //! 64-bit picosecond clock) whose push and pop are `O(1)` amortized, with
 //! cascades touching only `O(levels + entries moved)` work. Entries live
 //! in an index-linked arena with an intrusive freelist, so steady-state
@@ -11,10 +11,18 @@
 //! # Ordering contract
 //!
 //! Events are delivered in strict `(time, key)` order. The caller supplies
-//! the `key`; the sharded engine packs `(source cluster, per-cluster
-//! sequence number)` into it so delivery order is a pure function of the
-//! event set and never of the shard layout. [`EventQueue`] semantics fall
-//! out of using a monotonically increasing sequence number as the key.
+//! the `key`:
+//!
+//! * **FIFO at equal times.** A run that passes a monotonically
+//!   increasing sequence number (one per `schedule`) gets events at the
+//!   same instant back in the order they were scheduled, including events
+//!   scheduled at [`now`](TimingWheel::now) while that instant is being
+//!   delivered: they queue behind everything already pending for it.
+//!   `runtime::sched::ClusterSim` and `runtime::graph::TaskGraph` run
+//!   this way.
+//! * **Layout-free order.** The sharded engine packs `(source cluster,
+//!   per-cluster sequence number)` into the key, so delivery order is a
+//!   pure function of the event set and never of the shard layout.
 //!
 //! # Example
 //!
@@ -28,8 +36,6 @@
 //! let order: Vec<_> = std::iter::from_fn(|| w.pop()).map(|(_, _, e)| e).collect();
 //! assert_eq!(order, ["first", "a", "b"]);
 //! ```
-//!
-//! [`EventQueue`]: crate::event::EventQueue
 
 use crate::snap::{malformed, RestoreError, SnapReader, SnapWriter};
 use crate::time::{Duration, Time};
@@ -486,6 +492,38 @@ mod tests {
         w.schedule(Time::from_ns(10), 3, "d");
         let rest: Vec<_> = std::iter::from_fn(|| w.pop()).map(|(_, _, e)| e).collect();
         assert_eq!(rest, ["b", "c", "d"]);
+    }
+
+    /// The FIFO-by-sequence-key contract: events pending for an instant
+    /// come back in scheduling order, events scheduled at `now` while it
+    /// is being delivered queue behind them, and scheduling at `now` after
+    /// the instant drained starts a fresh batch.
+    #[test]
+    fn sequence_keys_deliver_fifo_at_equal_times() {
+        fn pop(w: &mut TimingWheel<&'static str>) -> Option<(u64, &'static str)> {
+            w.pop().map(|(t, _, e)| (t.as_ns(), e))
+        }
+        let mut w = TimingWheel::new();
+        let mut seq = 0u64;
+        let mut push = |w: &mut TimingWheel<&'static str>, ns: u64, ev| {
+            w.schedule(Time::from_ns(ns), seq, ev);
+            seq += 1;
+        };
+        push(&mut w, 10, "early-a");
+        push(&mut w, 10, "early-b");
+        push(&mut w, 5, "first");
+        assert_eq!(pop(&mut w), Some((5, "first")));
+        assert_eq!(pop(&mut w), Some((10, "early-a")));
+        push(&mut w, 10, "now-a");
+        push(&mut w, 10, "now-b");
+        assert_eq!(pop(&mut w), Some((10, "early-b")));
+        assert_eq!(pop(&mut w), Some((10, "now-a")));
+        assert_eq!(pop(&mut w), Some((10, "now-b")));
+        push(&mut w, 20, "later");
+        push(&mut w, 10, "late");
+        assert_eq!(pop(&mut w), Some((10, "late")));
+        assert_eq!(pop(&mut w), Some((20, "later")));
+        assert_eq!(pop(&mut w), None);
     }
 
     #[test]

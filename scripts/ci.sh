@@ -120,13 +120,16 @@ echo "== tier-1: perf-regression gate (bench_regress) =="
     BENCH_serve.json target/bench_serve_fresh.json
 
 echo "== perfbench: the benchmark's own checks =="
-# The benchmark's unit tests, then a short kernel_calls run that must
-# exit 0: every kernel output matched its reference and every pass
-# digest matched perfbench/digests.txt, so a faster executor cannot move
-# a simulated statistic unnoticed.
+# The benchmark's unit tests, then short kernel_calls and cluster_sched
+# runs that must exit 0: every kernel output matched its reference and
+# every pass digest matched perfbench/digests.txt, so neither a faster
+# executor nor a change to ClusterSim's event order can move a simulated
+# statistic unnoticed.
 cargo test --offline --release --manifest-path perfbench/Cargo.toml
 cargo run --quiet --offline --release --manifest-path perfbench/Cargo.toml -- \
     --workload kernel_calls --seed 1 --seconds 1 --trace 0 > target/perfbench_smoke.txt
+cargo run --quiet --offline --release --manifest-path perfbench/Cargo.toml -- \
+    --workload cluster_sched --seed 1 --seconds 1 --trace 0 > target/perfbench_sched_smoke.txt
 
 echo "== regenerate experiment snapshot (target/) =="
 ./target/release/exp_all > target/bench_output_tables.txt

@@ -975,18 +975,22 @@ fn assert_lockstep<T: Clone + std::fmt::Debug>(
 
 #[derive(Debug, Clone, Copy)]
 enum QueueOp {
-    /// Schedule at `now + dt_ps` (0 lands in the same-instant FIFO ring).
+    /// Schedule at `now + dt_ps` (0 lands on the current instant).
     Schedule(u64),
-    /// Schedule at `now` via the dedicated ring fast path.
+    /// Schedule at `now`: joins the same-instant batch while it is being
+    /// delivered.
     ScheduleNow,
     Pop,
     /// `pop_if_at_or_before(now + dh_ps)`.
     PopHorizon(u64),
 }
 
+/// The timing wheel driven the way `ClusterSim` and `TaskGraph` drive it:
+/// every schedule passes the next sequence number as its key, which must
+/// yield FIFO delivery at equal times.
 #[test]
-fn event_queue_matches_sequential_oracle() {
-    use ecoscale::sim::EventQueue;
+fn timing_wheel_sequence_keys_match_sequential_oracle() {
+    use ecoscale::sim::TimingWheel;
     for case in 0..CASES {
         let mut rng = case_rng(16, case);
         let len = rng.gen_range_usize(1, 120);
@@ -999,10 +1003,10 @@ fn event_queue_matches_sequential_oracle() {
             })
             .collect();
         // Oracle: a flat vector popped by the total order (time, global
-        // scheduling index) — the queue's documented delivery order across
-        // both the binary heap and the same-instant ring.
-        assert_lockstep("EventQueue", case, &ops, |ops| {
-            let mut q: EventQueue<u64> = EventQueue::new();
+        // scheduling index) — FIFO at equal times, including events
+        // scheduled at the instant being delivered.
+        assert_lockstep("TimingWheel", case, &ops, |ops| {
+            let mut q: TimingWheel<u64> = TimingWheel::new();
             let mut model: Vec<(Time, u64)> = Vec::new();
             let mut next_id = 0u64;
             let model_pop = |model: &mut Vec<(Time, u64)>| -> Option<(Time, u64)> {
@@ -1013,21 +1017,23 @@ fn event_queue_matches_sequential_oracle() {
                     .map(|(i, _)| i)?;
                 Some(model.remove(best))
             };
+            // The key is the scheduling index, so it doubles as the payload.
+            let delivered = |got: Option<(Time, u64, u64)>| got.map(|(t, _, e)| (t, e));
             for (step, op) in ops.iter().enumerate() {
                 match *op {
                     QueueOp::Schedule(dt) => {
                         let at = q.now() + Duration::from_ps(dt);
-                        q.schedule(at, next_id);
+                        q.schedule(at, next_id, next_id);
                         model.push((at, next_id));
                         next_id += 1;
                     }
                     QueueOp::ScheduleNow => {
-                        q.schedule_now(next_id);
+                        q.schedule(q.now(), next_id, next_id);
                         model.push((q.now(), next_id));
                         next_id += 1;
                     }
                     QueueOp::Pop => {
-                        let got = q.pop();
+                        let got = delivered(q.pop());
                         let want = model_pop(&mut model);
                         if got != want {
                             return Some(format!("step {step} pop: {got:?} != {want:?}"));
@@ -1035,7 +1041,7 @@ fn event_queue_matches_sequential_oracle() {
                     }
                     QueueOp::PopHorizon(dh) => {
                         let horizon = q.now() + Duration::from_ps(dh);
-                        let got = q.pop_if_at_or_before(horizon);
+                        let got = delivered(q.pop_if_at_or_before(horizon));
                         let due = model
                             .iter()
                             .map(|&(t, _)| t)
@@ -1345,22 +1351,19 @@ fn kernel_print_parse_round_trip() {
 }
 
 // ----------------------------------------------------------------------
-// sim: timing wheel vs event queue vs sorted-map oracle
+// sim: timing wheel vs sorted-map oracle
 // ----------------------------------------------------------------------
 
-/// Lockstep oracle for the hierarchical timing wheel behind the sharded
-/// engine: an interleaved schedule/pop workload is mirrored into the
-/// wheel, the binary-heap [`EventQueue`], and a `BTreeMap` keyed by
-/// `(time, sequence)`. All three must agree on every pop. The wheel is
-/// driven with monotonically increasing keys, which matches the queue's
-/// FIFO-at-equal-times contract.
+/// Lockstep oracle for the hierarchical timing wheel: an interleaved
+/// schedule/pop workload, occasionally far out to cross wheel levels, is
+/// mirrored into the wheel and a `BTreeMap` keyed by `(time, sequence)`.
+/// Both must agree on every pop.
 #[test]
-fn timing_wheel_matches_event_queue_and_btree_oracle() {
-    use ecoscale::sim::{EventQueue, TimingWheel};
+fn timing_wheel_matches_btree_oracle() {
+    use ecoscale::sim::TimingWheel;
     for case in 0..CASES {
         let mut rng = case_rng(20, case);
         let mut wheel: TimingWheel<u64> = TimingWheel::new();
-        let mut queue: EventQueue<u64> = EventQueue::new();
         let mut oracle: BTreeMap<(u64, u64), u64> = BTreeMap::new();
         let mut seq = 0u64;
         let mut now = 0u64;
@@ -1373,7 +1376,6 @@ fn timing_wheel_matches_event_queue_and_btree_oracle() {
                     let horizon = if rng.gen_bool(0.15) { 1 << 40 } else { 50_000 };
                     let at = now + rng.gen_range_u64(0, horizon);
                     wheel.schedule(Time::from_ps(at), seq, seq);
-                    queue.schedule(Time::from_ps(at), seq);
                     oracle.insert((at, seq), seq);
                     seq += 1;
                 }
@@ -1381,30 +1383,21 @@ fn timing_wheel_matches_event_queue_and_btree_oracle() {
                 let (&(at, key), &payload) = oracle.iter().next().expect("oracle non-empty");
                 oracle.remove(&(at, key));
                 let (wt, wkey, wev) = wheel.pop().expect("wheel has events");
-                let (qt, qev) = queue.pop().expect("queue has events");
                 assert_eq!(
                     (wt.as_ps(), wkey, wev),
                     (at, key, payload),
                     "case {case} step {step}: wheel diverged from oracle"
                 );
-                assert_eq!(
-                    (qt.as_ps(), qev),
-                    (at, payload),
-                    "case {case} step {step}: event queue diverged from oracle"
-                );
                 now = at;
             }
         }
-        // Drain whatever is left; the three must agree to the last event.
+        // Drain whatever is left; both must agree to the last event.
         while let Some((&(at, key), &payload)) = oracle.iter().next() {
             oracle.remove(&(at, key));
             let (wt, wkey, wev) = wheel.pop().expect("wheel drains with oracle");
-            let (qt, qev) = queue.pop().expect("queue drains with oracle");
             assert_eq!((wt.as_ps(), wkey, wev), (at, key, payload), "case {case}");
-            assert_eq!((qt.as_ps(), qev), (at, payload), "case {case}");
         }
         assert!(wheel.is_empty(), "case {case}");
-        assert!(queue.is_empty(), "case {case}");
     }
 }
 
