@@ -80,7 +80,7 @@ use ecoscale_core::{
 };
 use ecoscale_runtime::ServeSpec;
 use ecoscale_sim::fault::parse_duration;
-use ecoscale_sim::{pool, prof, CampaignSpec, Duration, TelemetryConfig, Time};
+use ecoscale_sim::{pool, prof, CampaignSpec, Duration, Time};
 
 fn usage() {
     eprintln!(
@@ -331,7 +331,7 @@ fn main() -> ExitCode {
             cfg.faults = campaign.clone();
         }
         if telemetry_path.is_some() {
-            cfg.telemetry = Some(TelemetryConfig::new(Duration::from_us(50)));
+            cfg.telemetry = Some(Duration::from_us(50));
         }
         if let Some(at) = snapshot_at {
             let path = snapshot_out.as_ref().expect("validated above");

@@ -14,9 +14,9 @@
 //! a SnapPlane checkpoint/restore of that serving run (mid-horizon
 //! snapshot, resume, byte-identity against the uninterrupted run, typed
 //! refusal of a corrupted copy), a TelePlane run of the same serving
-//! configuration with windowed telemetry and a fully-armed flight
-//! recorder (the capture export must be byte-identical across thread
-//! counts and `telem.window_conserved` must hold), and the
+//! configuration with windowed telemetry and a flight recorder (the
+//! capture export must be byte-identical across thread counts and the
+//! serving invariants must hold), and the
 //! cluster-partitioned sharded simulation — with a fully-armed
 //! [`CheckPlane`], then repeats the run at the configuration's thread
 //! count and asserts the metrics export is **byte-identical** to the
@@ -47,7 +47,7 @@ use ecoscale_noc::{
 };
 use ecoscale_runtime::{skewed_trace, ClusterSim, ResilienceConfig, SchedPolicy, ServeSpec};
 use ecoscale_sim::check::{invariant, CheckPlane};
-use ecoscale_sim::{pool, CampaignSpec, Duration, MetricsRegistry, SimRng, TelemetryConfig, Time};
+use ecoscale_sim::{pool, CampaignSpec, Duration, MetricsRegistry, SimRng, Time};
 
 use core::fmt;
 
@@ -456,10 +456,10 @@ pub fn run_config(cfg: &FuzzConfig, inject: bool) -> Result<RunReport, FuzzFailu
     }
     checks += cp_snap.checks_run();
     // TelePlane phase: the serving configuration re-runs with windowed
-    // telemetry and a fully-armed flight recorder; the capture export
-    // (series + per-cell flight rings) must be byte-identical at 1
-    // thread and at the configured thread count, and the series'
-    // `telem.window_conserved` invariant must hold in both.
+    // telemetry and a flight recorder; the capture export (series +
+    // per-cell flight rings) must be byte-identical at 1 thread and at
+    // the configured thread count, and the serving invariants must hold
+    // in both.
     let (tbase, cp_telem) = with_threads(1, || telem_once(cfg));
     if let Some(v) = cp_telem.first() {
         return Err(fail(format!("telem phase: {v}")));
@@ -851,12 +851,12 @@ fn snap_fuzz(cfg: &FuzzConfig, cp: &mut CheckPlane) {
     );
 }
 
-/// TelePlane phase body: one serving run with 25µs telemetry windows and
-/// every trigger armed, returning the capture export and the plane that
-/// absorbed the run's invariants (including `telem.window_conserved`).
+/// TelePlane phase body: one serving run with 25µs telemetry windows,
+/// returning the capture export and the plane that absorbed the run's
+/// invariants.
 fn telem_once(cfg: &FuzzConfig) -> (String, CheckPlane) {
     let mut scfg = serve_sim_config(cfg);
-    scfg.telemetry = Some(TelemetryConfig::new(Duration::from_us(25)));
+    scfg.telemetry = Some(Duration::from_us(25));
     let mut cp = CheckPlane::enabled(1);
     let out = run_serve_sim_with(&scfg, &mut cp);
     let telem = out.telemetry.expect("telemetry armed in the fuzz config");

@@ -31,8 +31,8 @@ use ecoscale_noc::{Network, NetworkConfig, NodeId, TreeTopology};
 use ecoscale_runtime::{skewed_trace, ClusterSim, ResilienceConfig, SchedPolicy, ServeSpec};
 use ecoscale_sim::check::CheckPlane;
 use ecoscale_sim::{
-    pool, CampaignSpec, Duration, MetricsRegistry, Profiler, ShardOccupancy, SimRng,
-    TelemetryConfig, Time, TimeSeries, TraceBuffer, Tracer,
+    pool, CampaignSpec, Duration, MetricsRegistry, Profiler, ShardOccupancy, SimRng, Time,
+    TimeSeries, TraceBuffer, Tracer,
 };
 
 use crate::shard_exp::scaling_config;
@@ -142,7 +142,7 @@ pub fn telemetry_serve_config(scale: Scale, faults: &CampaignSpec) -> ServeSimCo
     .expect("built-in serve spec parses");
     let mut cfg = ServeSimConfig::new(spec, linear_test_mix());
     cfg.items = 32;
-    cfg.telemetry = Some(TelemetryConfig::new(Duration::from_us(50)));
+    cfg.telemetry = Some(Duration::from_us(50));
     if !faults.is_off() {
         cfg.faults = faults.clone();
     }
@@ -153,7 +153,7 @@ pub fn telemetry_serve_config(scale: Scale, faults: &CampaignSpec) -> ServeSimCo
 /// the series (byte-identical at any `ECOSCALE_SHARDS`).
 pub fn telemetry_shard_series(scale: Scale) -> TimeSeries {
     let mut cfg = scaling_config(scale.pick(4, 8), scale.pick(48, 256));
-    cfg.telemetry = Some((Duration::from_ns(500), 64));
+    cfg.telemetry = Some(Duration::from_ns(500));
     let mut cp = CheckPlane::from_env();
     let out = run_shard_sim_with(&cfg, None, &mut cp);
     out.series.expect("series armed")

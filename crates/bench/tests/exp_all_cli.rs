@@ -75,6 +75,20 @@ fn malformed_serve_spec_exits_2_with_offending_pair() {
 }
 
 #[test]
+fn serve_rate_above_the_gap_floor_bound_exits_2() {
+    let out = exp_all()
+        .args(["--scale", "quick", "--serve"])
+        .args(["seed=1,tenants=1,rate=1e30,horizon=2us", "e01"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "no tables on a refused spec");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("`rate=1e30`"), "stderr: {err}");
+    assert!(err.contains("exceeds the 1e8/s bound"), "stderr: {err}");
+}
+
+#[test]
 fn repeated_spec_key_exits_2_naming_the_key() {
     for args in [
         ["--serve", "seed=1,seed=2,tenants=2,horizon=100us", "e01"],

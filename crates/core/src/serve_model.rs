@@ -35,10 +35,10 @@ use ecoscale_runtime::serve::{Batch, Request, ServePlane, ServeSpec, ServingRepo
 use ecoscale_runtime::ResilienceConfig;
 use ecoscale_sim::check::{invariant, CheckPlane};
 use ecoscale_sim::snap::{malformed, SnapshotBuilder, SnapshotFile};
+use ecoscale_sim::telem::{check_trigger_slot, put_trigger_slot, FLIGHT_EVENTS, SERIES_RETAIN};
 use ecoscale_sim::{
     pool, CampaignSpec, Duration, FlightRecorder, MetricsRegistry, Restore, RestoreError,
-    SnapReader, SnapWriter, Snapshot, TelemetryConfig, Time, TimeSeries, TriggerFire, TriggerKind,
-    TriggerPolicy,
+    SnapReader, SnapWriter, Snapshot, Time, TimeSeries, TriggerFire, TriggerKind,
 };
 
 use crate::report::SystemReport;
@@ -85,12 +85,13 @@ pub struct ServeSimConfig {
     pub faults: CampaignSpec,
     /// Recovery policy when the campaign is active.
     pub resilience: ResilienceConfig,
-    /// Telemetry plane: when set, every cell keeps a windowed
-    /// [`TimeSeries`] and an armed [`FlightRecorder`], rolled on the
-    /// maintenance cadence and merged in cell order into
-    /// [`ServeOutcome::telemetry`]. `None` costs one branch per cadence
-    /// tick and allocates nothing.
-    pub telemetry: Option<TelemetryConfig>,
+    /// Telemetry plane: when set to a window width, every cell keeps a
+    /// [`TimeSeries`] of that width (retaining [`SERIES_RETAIN`] windows)
+    /// and a [`FlightRecorder`] of [`FLIGHT_EVENTS`] events with every
+    /// trigger armed, rolled on the maintenance cadence and merged in
+    /// cell order into [`ServeOutcome::telemetry`]. `None` costs one
+    /// branch per cadence tick and allocates nothing.
+    pub telemetry: Option<Duration>,
 }
 
 impl ServeSimConfig {
@@ -130,14 +131,14 @@ pub struct ServeTelemetry {
 impl ServeTelemetry {
     /// Whether any cell's recorder latched at least one trigger.
     pub fn fired(&self) -> bool {
-        self.flights.iter().any(|f| f.fired())
+        self.flights.iter().any(|f| !f.triggers().is_empty())
     }
 
     /// The earliest trigger across cells (ties broken by cell order).
     pub fn first_trigger(&self) -> Option<&TriggerFire> {
         self.flights
             .iter()
-            .filter_map(|f| f.first_trigger())
+            .filter_map(|f| f.triggers().first())
             .min_by_key(|t| t.time)
     }
 
@@ -382,9 +383,9 @@ impl<'a> CellSim<'a> {
             now: Time::ZERO,
             next_tick: Time::ZERO + cfg.cadence,
             last_resil: 0,
-            telem: cfg.telemetry.as_ref().map(|tc| CellTelem {
-                series: TimeSeries::new(tc.window, tc.retain),
-                flight: FlightRecorder::armed(tc.flight, tc.policy),
+            telem: cfg.telemetry.map(|window| CellTelem {
+                series: TimeSeries::new(window),
+                flight: FlightRecorder::default(),
                 last_viol: 0,
                 last_quar: 0,
             }),
@@ -553,15 +554,13 @@ impl<'a> CellSim<'a> {
     }
 
     /// Finishes the cell: runs the final invariant pass, flushes the
-    /// telemetry series (closing the partial window and proving window
-    /// conservation), and folds the system's and the plane's
-    /// instruments into one [`CellResult`].
+    /// telemetry series (closing the partial window), and folds the
+    /// system's and the plane's instruments into one [`CellResult`].
     fn into_result(mut self) -> CellResult {
         self.plane.check_invariants(&mut self.cp);
         self.telem_tick(self.now);
         if let Some(t) = self.telem.as_mut() {
             t.series.finish(self.now);
-            t.series.check_conservation(&mut self.cp);
         }
         let mut metrics = self.system.export_metrics();
         self.plane.export_metrics(&mut metrics);
@@ -769,13 +768,13 @@ fn write_meta(cfg: &ServeSimConfig, cells: usize, w: &mut SnapWriter) {
     w.put_usize(cfg.compute_nodes);
     w.put_usize(cells);
     w.put_duration(cfg.cadence);
-    match &cfg.telemetry {
-        Some(tc) => {
+    match cfg.telemetry {
+        Some(window) => {
             w.put_u8(1);
-            w.put_duration(tc.window);
-            w.put_usize(tc.retain);
-            w.put_usize(tc.flight);
-            tc.policy.snapshot(w);
+            w.put_duration(window);
+            w.put_usize(SERIES_RETAIN);
+            w.put_usize(FLIGHT_EVENTS);
+            put_trigger_slot(w);
         }
         None => w.put_u8(0),
     }
@@ -811,11 +810,11 @@ fn check_meta(
     expect("cells", r.get_usize()?, cells)?;
     expect("cadence", r.get_duration()?, cfg.cadence)?;
     expect("telemetry armed", r.get_u8()? != 0, cfg.telemetry.is_some())?;
-    if let Some(tc) = &cfg.telemetry {
-        expect("telemetry window", r.get_duration()?, tc.window)?;
-        expect("telemetry retain", r.get_usize()?, tc.retain)?;
-        expect("telemetry flight cap", r.get_usize()?, tc.flight)?;
-        expect("telemetry policy", TriggerPolicy::restore(r)?, tc.policy)?;
+    if let Some(window) = cfg.telemetry {
+        expect("telemetry window", r.get_duration()?, window)?;
+        expect("telemetry retain", r.get_usize()?, SERIES_RETAIN)?;
+        expect("telemetry flight cap", r.get_usize()?, FLIGHT_EVENTS)?;
+        check_trigger_slot(r)?;
     }
     expect("kernel count", r.get_usize()?, cfg.kernels.len())?;
     for k in &cfg.kernels {
@@ -1235,26 +1234,65 @@ mod tests {
 
     #[test]
     fn telemetry_series_rolls_windows_and_conserves() {
-        let mut cfg = quick_cfg();
-        cfg.telemetry = Some(TelemetryConfig::new(Duration::from_us(50)));
+        // Three cells under a fault campaign, a queue bound the load
+        // overruns, and a `smooth` binder one element short, so that
+        // kernel's batches fail execution: every shared counter moves.
+        fn bind_short_smooth(n: usize) -> KernelArgs {
+            let mut a = KernelArgs::new();
+            a.bind_array("x", vec![1.0; n])
+                .bind_array("y", vec![0.0; n])
+                .bind_scalar("n", n as f64);
+            a
+        }
+        let spec = ServeSpec::parse(
+            "seed=21,tenants=6,rate=300000,horizon=500us,batch=4,deadline=200us,queue=4",
+        )
+        .unwrap();
+        let mut mix = linear_test_mix();
+        mix[1].bind = bind_short_smooth;
+        let mut cfg = ServeSimConfig::new(spec, mix);
+        cfg.cells = 3;
+        cfg.faults = CampaignSpec::parse("seed=5,seu=200us,smmu=0.002,scrub=400us").unwrap();
+        cfg.telemetry = Some(Duration::from_us(50));
         let mut cp = CheckPlane::enabled(1);
         let out = run_serve_sim_with(&cfg, &mut cp);
         assert!(cp.ok(), "{:?}", cp.first());
         let t = out.telemetry.expect("telemetry armed");
         assert!(t.series.rolled() > 0, "horizon spans several windows");
+        assert_eq!(t.flights.len(), 3);
+        for name in [
+            "serve.submitted",
+            "serve.admitted",
+            "serve.completed",
+            "serve.failed",
+            "serve.shed_queue",
+            "serve.shed_throttle",
+            "serve.deadline_miss",
+            "serve.goodput",
+        ] {
+            assert_eq!(
+                out.metrics.counter(name),
+                Some(t.series.lifetime(name)),
+                "metrics and the series lifetime disagree on `{name}`"
+            );
+        }
+        assert!(out.metrics.counter("serve.failed").unwrap() > 0);
+        assert!(out.metrics.counter("serve.shed_queue").unwrap() > 0);
         assert_eq!(
             t.series.lifetime("serve.submitted"),
             out.serving.submitted(),
             "series lifetime total matches the serving ledger"
         );
-        assert_eq!(t.flights.len(), 1);
-        assert!(!t.fired(), "a clean in-SLO run latches no trigger");
         let parsed = json::parse(&t.to_json()).unwrap();
         assert!(parsed
             .get("series")
             .and_then(|s| s.get("windows"))
             .is_some());
         assert!(parsed.get("flights").is_some());
+        // a clean in-SLO run latches no trigger
+        let mut clean = quick_cfg();
+        clean.telemetry = Some(Duration::from_us(50));
+        assert!(!run_serve_sim(&clean).telemetry.unwrap().fired());
         // disabled telemetry costs nothing and exports nothing
         let off = run_serve_sim(&quick_cfg());
         assert!(off.telemetry.is_none());
@@ -1264,7 +1302,7 @@ mod tests {
     fn telemetry_checkpoint_resume_is_bit_identical() {
         let mut cfg = quick_cfg();
         cfg.cells = 2;
-        cfg.telemetry = Some(TelemetryConfig::new(Duration::from_us(50)));
+        cfg.telemetry = Some(Duration::from_us(50));
         let full = run_serve_sim(&cfg);
         let ft = full.telemetry.as_ref().expect("telemetry armed");
         for at_us in [0u64, 120, 250] {
@@ -1292,7 +1330,7 @@ mod tests {
             ServeSpec::parse("seed=21,tenants=4,rate=100000,horizon=500us,batch=4,deadline=1us")
                 .unwrap();
         let mut cfg = ServeSimConfig::new(spec, linear_test_mix());
-        cfg.telemetry = Some(TelemetryConfig::new(Duration::from_us(50)));
+        cfg.telemetry = Some(Duration::from_us(50));
         let out = run_serve_sim(&cfg);
         let t = out.telemetry.expect("telemetry armed");
         assert!(t.fired(), "breached SLO must latch a trigger");

@@ -50,11 +50,11 @@ pub struct ShardSimConfig {
     pub remote_frac: f64,
     /// Master seed; every cluster derives its streams from it by index.
     pub seed: u64,
-    /// Per-safe-window telemetry feed: when set, the engine keeps a
-    /// [`TimeSeries`] of `(window width, retained windows)` fed one safe
-    /// window at a time ([`ShardOutcome::series`]). `None` costs one
-    /// branch per window.
-    pub telemetry: Option<(Duration, usize)>,
+    /// Per-safe-window telemetry feed: when set to a window width, the
+    /// engine keeps a [`TimeSeries`] of that width fed one safe window
+    /// at a time ([`ShardOutcome::series`]). `None` costs one branch per
+    /// window.
+    pub telemetry: Option<Duration>,
 }
 
 impl ShardSimConfig {
@@ -412,8 +412,8 @@ fn run_shard_sim_inner(
         .collect();
     let lookahead = cfg.lookahead();
     let mut engine = ShardedEngine::new(models, lookahead).with_occupancy(&OCCUPANCY_WIDTHS);
-    if let Some((width, retain)) = cfg.telemetry {
-        engine = engine.with_series(width, retain);
+    if let Some(width) = cfg.telemetry {
+        engine = engine.with_series(width);
     }
     if let Some(n) = shards {
         engine = engine.with_shards(n);

@@ -59,6 +59,12 @@ fn tenant_salt(component: u64, tenant: u32) -> u64 {
     component ^ ((tenant as u64) << 32)
 }
 
+/// The highest peak arrival rate one tenant may ask for (`rate` times
+/// `burst`), requests/second. Above it the mean arrival gap is under
+/// 10 ns, and the generator's 1 ns gap floor would shift the effective
+/// rate by more than 0.5%.
+pub const MAX_TENANT_RATE: f64 = 1e8;
+
 /// A declarative multi-tenant serving workload and policy.
 ///
 /// # Textual form
@@ -160,10 +166,12 @@ impl ServeSpec {
     /// # Errors
     ///
     /// [`ServeSpecError`] names the offending pair. A key given twice is
-    /// refused rather than letting the last value win.
+    /// refused rather than letting the last value win, and a peak rate
+    /// above [`MAX_TENANT_RATE`] is refused rather than clamped.
     pub fn parse(s: &str) -> Result<ServeSpec, ServeSpecError> {
         let mut spec = ServeSpec::base();
         let mut seen: Vec<&str> = Vec::new();
+        let mut peak_pairs: Vec<&str> = Vec::new();
         for pair in s.split(',') {
             let pair = pair.trim();
             if pair.is_empty() {
@@ -199,6 +207,7 @@ impl ServeSpec {
                 }
                 "rate" => {
                     spec.rate = parse_rate(value).ok_or_else(|| bad("requests/second > 0"))?;
+                    peak_pairs.push(pair);
                 }
                 "burst" => {
                     spec.burst = value
@@ -206,6 +215,7 @@ impl ServeSpec {
                         .ok()
                         .filter(|b: &f64| b.is_finite() && *b >= 1.0)
                         .ok_or_else(|| bad("factor >= 1"))?;
+                    peak_pairs.push(pair);
                 }
                 "burst_every" => {
                     spec.burst_every =
@@ -267,6 +277,16 @@ impl ServeSpec {
                     });
                 }
             }
+        }
+        let peak = spec.rate * spec.burst;
+        if peak > MAX_TENANT_RATE {
+            return Err(ServeSpecError {
+                pair: peak_pairs.join(","),
+                reason: format!(
+                    "peak rate {peak:e}/s per tenant (rate x burst) exceeds the \
+                     {MAX_TENANT_RATE:e}/s bound"
+                ),
+            });
         }
         Ok(spec)
     }
@@ -1742,6 +1762,22 @@ mod tests {
         assert!(ServeSpec::parse("horizon=fast").is_err());
         let err = ServeSpec::parse("deadline=nope").unwrap_err();
         assert!(err.to_string().contains("deadline=nope"));
+    }
+
+    #[test]
+    fn spec_refuses_rates_the_gap_floor_would_skew() {
+        for text in [
+            "rate=1e30",
+            "rate=1e9",
+            "rate=5e7,burst=4,burst_every=100us",
+        ] {
+            let err = ServeSpec::parse(text).unwrap_err();
+            assert!(err.to_string().contains("1e8/s bound"), "{err}");
+        }
+        let err = ServeSpec::parse("burst=8,seed=1,rate=2e7").unwrap_err();
+        assert_eq!(err.pair, "burst=8,rate=2e7");
+        assert!(ServeSpec::parse("rate=1e8").is_ok());
+        assert!(ServeSpec::parse("rate=500000,burst=4,burst_every=200us").is_ok());
     }
 
     #[test]

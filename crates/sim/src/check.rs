@@ -107,11 +107,6 @@ pub mod invariant {
     /// rest of the simulation bit-identically: the resumed exports match
     /// the uninterrupted run byte for byte.
     pub const SNAP_RESUME_EQUIVALENT: &str = "snap.resume_equivalent";
-    /// TelePlane window conservation: for every windowed counter, the
-    /// counts attributed to closed windows (retained ring + evicted
-    /// windows) plus the open window sum exactly to the lifetime
-    /// counter — no event is double-counted or dropped by a roll.
-    pub const TELEM_WINDOW_CONSERVED: &str = "telem.window_conserved";
     /// Test-only hook used by `fuzz_configs --inject-violation` to prove the
     /// catch → shrink → repro pipeline works end to end.
     pub const SABOTAGE: &str = "check.sabotage";
@@ -193,10 +188,6 @@ pub mod invariant {
         (
             SNAP_RESUME_EQUIVALENT,
             "resumed exports match the uninterrupted run",
-        ),
-        (
-            TELEM_WINDOW_CONSERVED,
-            "windowed counts sum to lifetime counters",
         ),
         (SABOTAGE, "test-only deliberate violation hook"),
     ];

@@ -30,7 +30,8 @@
 //!   zero-cost when disabled,
 //! * [`stats`] — counters, online moments, and log-binned histograms,
 //! * [`metrics`] — a deterministic [`MetricsRegistry`] of named
-//!   instruments with snapshot/merge semantics,
+//!   instruments with snapshot/merge semantics, the only
+//!   named-instrument store,
 //! * [`trace`] — structured tracing ([`Tracer`]) with a Chrome Trace
 //!   Event JSON exporter loadable in Perfetto,
 //! * [`prof`] — ProfPlane: causal critical-path extraction with
@@ -38,8 +39,9 @@
 //!   analytics ([`ShardOccupancy`]), and zero-cost-when-disabled
 //!   wall-clock phase timers ([`Profiler`]),
 //! * [`telem`] — TelePlane: windowed time-series telemetry
-//!   ([`TimeSeries`]) and an anomaly-triggered flight recorder
-//!   ([`FlightRecorder`], [`TriggerPolicy`]), one branch when disabled,
+//!   ([`TimeSeries`], a ring of [`MetricsRegistry`] windows) and an
+//!   anomaly-triggered flight recorder ([`FlightRecorder`]), one branch
+//!   when disabled,
 //! * [`report`] — fixed-width table rendering used by the experiment
 //!   binaries to print paper-style figures.
 //!
@@ -96,9 +98,7 @@ pub use snap::{
     Restore, RestoreError, SnapReader, SnapWriter, Snapshot, SnapshotBuilder, SnapshotFile,
 };
 pub use stats::{Counter, Histogram, OnlineStats};
-pub use telem::{
-    FlightRecorder, TelemetryConfig, TimeSeries, TriggerFire, TriggerKind, TriggerPolicy,
-};
+pub use telem::{FlightRecorder, TimeSeries, TriggerFire, TriggerKind};
 pub use time::{Duration, Time};
 pub use trace::{TraceBuffer, TraceEvent, Tracer, TrackId};
 pub use wheel::TimingWheel;

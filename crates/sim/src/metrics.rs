@@ -1,19 +1,21 @@
 //! A deterministic registry of named instruments.
 //!
-//! [`MetricsRegistry`] maps metric names to one of the three stats
-//! primitives from [`crate::stats`]: [`Counter`] (monotonic event
-//! counts), [`OnlineStats`] (mean/min/max/stddev of a continuous
-//! quantity) and [`Histogram`] (log-binned distributions with
-//! percentiles). Domain structs keep raw instruments in their own
-//! fields for the hot path and *export* into a registry at snapshot
-//! time, so registry lookups never appear in inner loops.
+//! [`MetricsRegistry`] maps metric names to a gauge level or to one of
+//! the three stats primitives from [`crate::stats`]: [`Counter`]
+//! (monotonic event counts), [`OnlineStats`] (mean/min/max/stddev of a
+//! continuous quantity) and [`Histogram`] (log-binned distributions
+//! with percentiles). It is the only named-instrument store: the
+//! windows of a [`crate::telem::TimeSeries`] are registries too.
+//! Domain structs keep raw instruments in their own fields for the hot
+//! path and *export* into a registry at snapshot time, so registry
+//! lookups never appear in inner loops.
 //!
 //! The registry is backed by a `BTreeMap`, so iteration, the rendered
 //! [`Table`] and the JSON export are all deterministically ordered.
-//! [`MetricsRegistry::merge`] folds another registry in (counters add,
-//! stats and histograms merge), which lets per-thread registries from
-//! [`crate::pool`] combine in input order into output that is
-//! byte-identical regardless of `ECOSCALE_THREADS`.
+//! [`MetricsRegistry::merge`] folds another registry in (counters and
+//! gauge levels add, stats and histograms merge), which lets per-thread
+//! registries from [`crate::pool`] combine in input order into output
+//! that is byte-identical regardless of `ECOSCALE_THREADS`.
 
 use std::collections::BTreeMap;
 
@@ -30,14 +32,17 @@ pub enum Instrument {
     Stats(OnlineStats),
     /// Log-binned distribution.
     Histogram(Histogram),
+    /// A sampled level: setting it replaces the previous level.
+    Gauge(u64),
 }
 
 impl Instrument {
-    fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Instrument::Counter(_) => "counter",
             Instrument::Stats(_) => "stats",
             Instrument::Histogram(_) => "histogram",
+            Instrument::Gauge(_) => "gauge",
         }
     }
 }
@@ -54,36 +59,41 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    /// The slot for `name`, created by `new` on first use. The name is
+    /// allocated only on that first insert.
+    fn slot(&mut self, name: &str, new: fn() -> Instrument) -> &mut Instrument {
+        if self.slots.contains_key(name) {
+            self.slots.get_mut(name).expect("slot exists")
+        } else {
+            self.slots.entry(name.to_owned()).or_insert_with(new)
+        }
+    }
+
     fn counter_mut(&mut self, name: &str) -> &mut Counter {
-        let slot = self
-            .slots
-            .entry(name.to_owned())
-            .or_insert_with(|| Instrument::Counter(Counter::new()));
-        match slot {
+        match self.slot(name, || Instrument::Counter(Counter::new())) {
             Instrument::Counter(c) => c,
             other => panic!("metric `{name}` is a {}, not a counter", other.kind()),
         }
     }
 
     fn stats_mut(&mut self, name: &str) -> &mut OnlineStats {
-        let slot = self
-            .slots
-            .entry(name.to_owned())
-            .or_insert_with(|| Instrument::Stats(OnlineStats::new()));
-        match slot {
+        match self.slot(name, || Instrument::Stats(OnlineStats::new())) {
             Instrument::Stats(s) => s,
             other => panic!("metric `{name}` is a {}, not stats", other.kind()),
         }
     }
 
     fn hist_mut(&mut self, name: &str) -> &mut Histogram {
-        let slot = self
-            .slots
-            .entry(name.to_owned())
-            .or_insert_with(|| Instrument::Histogram(Histogram::new()));
-        match slot {
+        match self.slot(name, || Instrument::Histogram(Histogram::new())) {
             Instrument::Histogram(h) => h,
             other => panic!("metric `{name}` is a {}, not a histogram", other.kind()),
+        }
+    }
+
+    fn gauge_mut(&mut self, name: &str) -> &mut u64 {
+        match self.slot(name, || Instrument::Gauge(0)) {
+            Instrument::Gauge(g) => g,
+            other => panic!("metric `{name}` is a {}, not a gauge", other.kind()),
         }
     }
 
@@ -107,6 +117,11 @@ impl MetricsRegistry {
         self.hist_mut(name).record(v);
     }
 
+    /// Sets the gauge `name` to level `v`.
+    pub fn set_gauge(&mut self, name: &str, v: u64) {
+        *self.gauge_mut(name) = v;
+    }
+
     /// Merges a pre-accumulated [`OnlineStats`] into instrument `name`.
     pub fn merge_stats(&mut self, name: &str, s: &OnlineStats) {
         self.stats_mut(name).merge(s);
@@ -117,16 +132,48 @@ impl MetricsRegistry {
         self.hist_mut(name).merge(h);
     }
 
-    /// Folds `other` into `self`: counters add, stats and histograms
-    /// merge. Panics if a shared name holds different instrument kinds.
+    /// Folds `other` into `self`: counters and gauge levels add, stats
+    /// and histograms merge. Panics if a shared name holds different
+    /// instrument kinds.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (name, inst) in &other.slots {
             match inst {
                 Instrument::Counter(c) => self.add(name, c.get()),
                 Instrument::Stats(s) => self.merge_stats(name, s),
                 Instrument::Histogram(h) => self.merge_hist(name, h),
+                Instrument::Gauge(g) => *self.gauge_mut(name) += g,
             }
         }
+    }
+
+    /// Starts a new window: zeroes counters, empties stats and
+    /// histograms, and keeps gauge levels and every name.
+    pub(crate) fn roll(&mut self) {
+        for inst in self.slots.values_mut() {
+            match inst {
+                Instrument::Counter(c) => c.reset(),
+                Instrument::Stats(s) => *s = OnlineStats::new(),
+                Instrument::Histogram(h) => *h = Histogram::new(),
+                Instrument::Gauge(_) => {}
+            }
+        }
+    }
+
+    /// Inserts a restored instrument, refusing a name already present
+    /// (a duplicate, or one name held under two kinds).
+    pub(crate) fn insert_new(
+        &mut self,
+        name: String,
+        inst: Instrument,
+    ) -> Result<(), crate::snap::RestoreError> {
+        if let Some(old) = self.slots.get(&name) {
+            let kind = old.kind();
+            return Err(crate::snap::malformed(format!(
+                "metric `{name}` is already a {kind}"
+            )));
+        }
+        self.slots.insert(name, inst);
+        Ok(())
     }
 
     /// Looks up an instrument by name.
@@ -138,6 +185,14 @@ impl MetricsRegistry {
     pub fn counter(&self, name: &str) -> Option<u64> {
         match self.slots.get(name) {
             Some(Instrument::Counter(c)) => Some(c.get()),
+            _ => None,
+        }
+    }
+
+    /// The level of the gauge `name`, if present and a gauge.
+    pub fn gauge(&self, name: &str) -> Option<u64> {
+        match self.slots.get(name) {
+            Some(Instrument::Gauge(g)) => Some(*g),
             _ => None,
         }
     }
@@ -164,17 +219,21 @@ impl MetricsRegistry {
             &["metric", "kind", "count", "mean", "p50", "p95", "max"],
         );
         for (name, inst) in &self.slots {
-            match inst {
-                Instrument::Counter(c) => t.row_owned(vec![
+            let level = |v: u64| {
+                vec![
                     name.clone(),
-                    "counter".into(),
-                    fnum(c.get() as f64),
+                    inst.kind().into(),
+                    fnum(v as f64),
                     "-".into(),
                     "-".into(),
                     "-".into(),
                     "-".into(),
-                ]),
-                Instrument::Stats(s) => t.row_owned(vec![
+                ]
+            };
+            t.row_owned(match inst {
+                Instrument::Counter(c) => level(c.get()),
+                Instrument::Gauge(g) => level(*g),
+                Instrument::Stats(s) => vec![
                     name.clone(),
                     "stats".into(),
                     s.count().to_string(),
@@ -182,8 +241,8 @@ impl MetricsRegistry {
                     "-".into(),
                     "-".into(),
                     fnum(s.max()),
-                ]),
-                Instrument::Histogram(h) => t.row_owned(vec![
+                ],
+                Instrument::Histogram(h) => vec![
                     name.clone(),
                     "histogram".into(),
                     h.count().to_string(),
@@ -191,8 +250,8 @@ impl MetricsRegistry {
                     fnum(h.percentile(50.0) as f64),
                     fnum(h.percentile(95.0) as f64),
                     fnum(h.max() as f64),
-                ]),
-            }
+                ],
+            });
         }
         t
     }
@@ -217,6 +276,10 @@ impl MetricsRegistry {
                 Instrument::Counter(c) => {
                     out.push_str(",\"value\":");
                     out.push_str(&c.get().to_string());
+                }
+                Instrument::Gauge(g) => {
+                    out.push_str(",\"value\":");
+                    out.push_str(&g.to_string());
                 }
                 Instrument::Stats(s) => {
                     out.push_str(",\"count\":");
@@ -273,6 +336,10 @@ impl crate::snap::Snapshot for Instrument {
                 w.put_u8(2);
                 h.snapshot(w);
             }
+            Instrument::Gauge(g) => {
+                w.put_u8(3);
+                w.put_u64(*g);
+            }
         }
     }
 }
@@ -285,6 +352,7 @@ impl crate::snap::Restore for Instrument {
             0 => Instrument::Counter(Counter::restore(r)?),
             1 => Instrument::Stats(OnlineStats::restore(r)?),
             2 => Instrument::Histogram(Histogram::restore(r)?),
+            3 => Instrument::Gauge(r.get_u64()?),
             tag => return Err(crate::snap::malformed(format!("instrument tag {tag}"))),
         })
     }
@@ -305,15 +373,12 @@ impl crate::snap::Restore for MetricsRegistry {
         r: &mut crate::snap::SnapReader<'_>,
     ) -> Result<MetricsRegistry, crate::snap::RestoreError> {
         let n = r.get_usize()?;
-        let mut slots = BTreeMap::new();
+        let mut m = MetricsRegistry::new();
         for _ in 0..n {
-            let name = r.get_str()?.to_owned();
-            let inst = Instrument::restore(r)?;
-            if slots.insert(name.clone(), inst).is_some() {
-                return Err(crate::snap::malformed(format!("duplicate metric `{name}`")));
-            }
+            let name = r.get_str()?;
+            m.insert_new(name, Instrument::restore(r)?)?;
         }
-        Ok(MetricsRegistry { slots })
+        Ok(m)
     }
 }
 
@@ -366,6 +431,26 @@ mod tests {
     }
 
     #[test]
+    fn gauges_set_and_merge_and_roll_keeps_names() {
+        let mut a = MetricsRegistry::new();
+        a.set_gauge("q", 5);
+        a.set_gauge("q", 3);
+        a.add("n", 4);
+        a.record("h", 9);
+        let mut b = MetricsRegistry::new();
+        b.set_gauge("q", 4);
+        a.merge(&b);
+        assert_eq!((a.gauge("q"), a.counter("q")), (Some(7), None));
+        assert!(a
+            .to_json()
+            .contains("\"q\":{\"kind\":\"gauge\",\"value\":7}"));
+        a.roll();
+        assert_eq!(a.len(), 3, "every name survives a roll");
+        assert_eq!((a.counter("n"), a.gauge("q")), (Some(0), Some(7)));
+        assert!(matches!(a.get("h"), Some(Instrument::Histogram(h)) if h.count() == 0));
+    }
+
+    #[test]
     fn json_is_well_formed_and_ordered() {
         let mut m = MetricsRegistry::new();
         m.add("z.count", 7);
@@ -400,6 +485,7 @@ mod tests {
         m.record("m.hist", 8);
         m.record("m.hist", 900);
         m.observe("empty.stat", 1.0);
+        m.set_gauge("q.depth", 12);
         let mut w = SnapWriter::new();
         m.snapshot(&mut w);
         let bytes = w.into_bytes();

@@ -305,7 +305,7 @@ pub struct ShardedEngine<M: ClusterModel> {
     threads: Option<usize>,
     occ_widths: Option<Vec<usize>>,
     occupancy: Option<ShardOccupancy>,
-    series_cfg: Option<(Duration, usize)>,
+    series_width: Option<Duration>,
     series: Option<TimeSeries>,
     self_prof: bool,
     wall: Profiler,
@@ -354,7 +354,7 @@ impl<M: ClusterModel> ShardedEngine<M> {
             threads: None,
             occ_widths: None,
             occupancy: None,
-            series_cfg: None,
+            series_width: None,
             series: None,
             self_prof: false,
             wall: Profiler::disabled(),
@@ -404,14 +404,14 @@ impl<M: ClusterModel> ShardedEngine<M> {
     }
 
     /// Arms the per-safe-window telemetry feed: a [`TimeSeries`] of
-    /// `retain` windows of `width` simulated time, fed one safe window
-    /// at a time at the leader's occupancy fold (`shard.events` counter,
+    /// windows of `width` simulated time, fed one safe window at a time
+    /// at the leader's occupancy fold (`shard.events` counter,
     /// `shard.window_events` histogram). Derived from the same
     /// deterministic per-window event counts as occupancy, so the
     /// accumulated [`ShardedEngine::series`] export is byte-identical at
     /// any shard/thread layout.
-    pub fn with_series(mut self, width: Duration, retain: usize) -> ShardedEngine<M> {
-        self.series_cfg = Some((width, retain));
+    pub fn with_series(mut self, width: Duration) -> ShardedEngine<M> {
+        self.series_width = Some(width);
         self.series = None;
         self
     }
@@ -455,7 +455,7 @@ impl<M: ClusterModel> ShardedEngine<M> {
     fn take_series(&mut self) -> Option<TimeSeries> {
         match self.series.take() {
             Some(s) => Some(s),
-            None => self.series_cfg.map(|(w, r)| TimeSeries::new(w, r)),
+            None => self.series_width.map(TimeSeries::new),
         }
     }
 
@@ -478,16 +478,6 @@ impl<M: ClusterModel> ShardedEngine<M> {
     /// The model of cluster `c`.
     pub fn model(&self, c: usize) -> &M {
         &self.clusters[c].model
-    }
-
-    /// Mutable model of cluster `c` (setup between runs).
-    pub fn model_mut(&mut self, c: usize) -> &mut M {
-        &mut self.clusters[c].model
-    }
-
-    /// Consumes the engine, returning the models in cluster order.
-    pub fn into_models(self) -> Vec<M> {
-        self.clusters.into_iter().map(|c| c.model).collect()
     }
 
     /// Total events delivered across all clusters.
@@ -1258,7 +1248,7 @@ mod tests {
 
     #[test]
     fn window_series_feed_is_layout_independent() {
-        let mut base = gossip_engine(6, 11, 1).with_series(Duration::from_ns(200), 32);
+        let mut base = gossip_engine(6, 11, 1).with_series(Duration::from_ns(200));
         base.run();
         let series = base.series().expect("series armed");
         assert_eq!(
@@ -1272,7 +1262,7 @@ mod tests {
         for (shards, threads) in [(2, 1), (4, 2), (6, 4)] {
             let mut engine = gossip_engine(6, 11, shards)
                 .with_threads(threads)
-                .with_series(Duration::from_ns(200), 32);
+                .with_series(Duration::from_ns(200));
             engine.run();
             assert_eq!(fingerprint(&engine), fp, "shards={shards} perturbed");
             assert_eq!(
@@ -1285,11 +1275,11 @@ mod tests {
 
     #[test]
     fn window_series_survives_split_runs() {
-        let mut whole = gossip_engine(4, 17, 2).with_series(Duration::from_ns(200), 32);
+        let mut whole = gossip_engine(4, 17, 2).with_series(Duration::from_ns(200));
         whole.run();
         let want = whole.series().expect("armed").to_json();
 
-        let mut split = gossip_engine(4, 17, 2).with_series(Duration::from_ns(200), 32);
+        let mut split = gossip_engine(4, 17, 2).with_series(Duration::from_ns(200));
         split.run_until(Time::from_us(1), u64::MAX);
         split.run();
         assert_eq!(split.series().expect("armed").to_json(), want);

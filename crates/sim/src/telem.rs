@@ -1,155 +1,58 @@
 //! TelePlane: windowed time-series telemetry and an anomaly-triggered
 //! flight recorder.
 //!
-//! End-of-run aggregates (PR 2's [`crate::metrics`]) answer "how much
-//! in total"; an operator diagnosing an SLO breach needs "when, and
-//! what else was happening". This module adds the time-resolved layer:
+//! End-of-run aggregates ([`crate::metrics`]) answer "how much in
+//! total"; an operator diagnosing an SLO breach needs "when, and what
+//! else was happening". This module adds the time-resolved layer:
 //!
 //! * [`TimeSeries`] — named counters, gauges and histograms bucketed
-//!   into fixed sim-time windows of configurable width, with a bounded
-//!   ring of closed-window aggregates, lifetime totals, canonical JSON
-//!   export, and [`Snapshot`]/[`Restore`] support. Everything is
-//!   driven by simulated time, so exports are byte-identical at any
+//!   into fixed sim-time windows. Every window is a [`MetricsRegistry`]:
+//!   the open one, a bounded ring of closed ones, and one registry that
+//!   folds the counters of windows evicted from the ring. A counter's
+//!   lifetime total is the sum over those three, so window conservation
+//!   (no count double-counted or dropped by a roll) holds by
+//!   construction. Exports are canonical JSON and the series has
+//!   [`Snapshot`]/[`Restore`] support. Everything is driven by
+//!   simulated time, so exports are byte-identical at any
 //!   `ECOSCALE_THREADS`/`ECOSCALE_SHARDS` setting.
-//! * [`FlightRecorder`] — an always-on bounded ring of recent trace
-//!   events. Disabled, every call is a single branch on an `Option`
-//!   and allocates nothing; armed, the ring is allocated once up
-//!   front. A [`TriggerPolicy`] decides which anomalies (SLO-breach
-//!   windows, queue saturation, CheckPlane violations, resilience
-//!   quarantine) latch a [`TriggerFire`], after which the ring plus
-//!   the time-series tail form a deterministic evidence bundle.
+//! * [`FlightRecorder`] — a bounded ring of recent trace events.
+//!   Every anomaly class ([`TriggerKind`]: SLO-breach windows,
+//!   queue saturation, CheckPlane violations, resilience quarantine)
+//!   latches a [`TriggerFire`], after which the ring plus the
+//!   time-series tail form a deterministic evidence bundle.
 //!
-//! The conservation contract between the two layers is checkable:
-//! for every windowed counter, the counts in the retained ring plus
-//! the counts evicted from it plus the open window must sum to the
-//! lifetime total ([`TimeSeries::check_conservation`], registered as
-//! `telem.window_conserved` in the invariant catalog).
+//! Both rings have fixed depths: [`SERIES_RETAIN`] closed windows and
+//! [`FLIGHT_EVENTS`] flight events.
 
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::check::{invariant, CheckPlane};
 use crate::json;
+use crate::metrics::{Instrument, MetricsRegistry};
 use crate::snap::{malformed, Restore, RestoreError, SnapReader, SnapWriter, Snapshot};
-use crate::stats::Histogram;
+use crate::stats::{Counter, Histogram};
 use crate::time::{Duration, Time};
 
-/// Telemetry plane configuration: window width, ring depths, and the
-/// flight-recorder trigger policy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Width of one time-series window in simulated time.
-    pub window: Duration,
-    /// How many closed windows the series ring retains.
-    pub retain: usize,
-    /// Flight-recorder ring capacity (events).
-    pub flight: usize,
-    /// Which anomalies latch a flight-recorder trigger.
-    pub policy: TriggerPolicy,
-}
+/// Closed windows a [`TimeSeries`] retains.
+pub const SERIES_RETAIN: usize = 64;
 
-impl TelemetryConfig {
-    /// A config with the given window width and default ring depths
-    /// (64 retained windows, 128 flight events, all triggers armed).
-    pub fn new(window: Duration) -> TelemetryConfig {
-        TelemetryConfig {
-            window,
-            retain: 64,
-            flight: 128,
-            policy: TriggerPolicy::default(),
-        }
-    }
-}
-
-/// One windowed counter: the open-window count plus the bookkeeping
-/// needed to prove conservation against the lifetime total.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct WinCounter {
-    /// Count in the open window.
-    cur: u64,
-    /// Lifetime total across all windows.
-    total: u64,
-    /// Counts attributed to windows evicted from the ring.
-    evicted: u64,
-}
-
-/// Closed-window aggregate: one entry in the [`TimeSeries`] ring.
-///
-/// Histograms are kept raw (not as percentile summaries) so per-cell
-/// series merge exactly; percentiles are computed at export time.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WindowAgg {
-    /// Window index (window `i` covers `[i*width, (i+1)*width)`).
-    pub index: u64,
-    counters: Vec<(String, u64)>,
-    gauges: Vec<(String, u64)>,
-    hists: Vec<(String, Histogram)>,
-}
-
-impl WindowAgg {
-    /// The count a named counter contributed to this window.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
-    }
-
-    /// The sampled level of a named gauge in this window.
-    pub fn gauge(&self, name: &str) -> u64 {
-        self.gauges
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
-    }
-
-    /// The windowed histogram recorded under `name`, if any.
-    pub fn hist(&self, name: &str) -> Option<&Histogram> {
-        self.hists.iter().find(|(n, _)| n == name).map(|(_, h)| h)
-    }
-
-    fn merge(&mut self, other: &WindowAgg) {
-        debug_assert_eq!(self.index, other.index);
-        for (name, v) in &other.counters {
-            match self.counters.iter_mut().find(|(n, _)| n == name) {
-                Some((_, mine)) => *mine += v,
-                None => self.counters.push((name.clone(), *v)),
-            }
-        }
-        for (name, v) in &other.gauges {
-            match self.gauges.iter_mut().find(|(n, _)| n == name) {
-                Some((_, mine)) => *mine += v,
-                None => self.gauges.push((name.clone(), *v)),
-            }
-        }
-        for (name, h) in &other.hists {
-            match self.hists.iter_mut().find(|(n, _)| n == name) {
-                Some((_, mine)) => mine.merge(h),
-                None => self.hists.push((name.clone(), h.clone())),
-            }
-        }
-        self.counters.sort_by(|a, b| a.0.cmp(&b.0));
-        self.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        self.hists.sort_by(|a, b| a.0.cmp(&b.0));
-    }
-}
+/// Events a [`FlightRecorder`] holds.
+pub const FLIGHT_EVENTS: usize = 128;
 
 /// Named instruments bucketed into fixed sim-time windows.
 ///
 /// Callers drive the clock explicitly: [`TimeSeries::advance`] closes
-/// every window that ends at or before `now`, pushing its aggregate
-/// into a bounded ring; recording calls then land in the open window.
-/// Counters keep a lifetime total beside the window count, gauges are
-/// sampled levels that persist across rolls, histograms reset per
-/// window but stay raw in the ring so series merge exactly.
+/// every window that ends at or before `now`, pushing it into a bounded
+/// ring; recording calls then land in the open window. Counters and
+/// histograms start each window empty, gauges are sampled levels that
+/// persist across rolls. Histograms stay raw in the ring so series
+/// merge exactly.
 ///
 /// # Example
 ///
 /// ```
 /// use ecoscale_sim::{Duration, Time, TimeSeries};
 ///
-/// let mut ts = TimeSeries::new(Duration::from_us(10), 8);
+/// let mut ts = TimeSeries::new(Duration::from_us(10));
 /// ts.incr("req", 3);
 /// ts.advance(Time::ZERO + Duration::from_us(25));
 /// ts.incr("req", 1);
@@ -160,71 +63,61 @@ impl WindowAgg {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     width: Duration,
-    retain: usize,
-    /// Index of the open window.
+    /// Index of the open window, which is also the number of windows
+    /// closed so far.
     open: u64,
-    /// Number of windows closed so far.
-    rolled: u64,
-    counters: BTreeMap<String, WinCounter>,
-    gauges: BTreeMap<String, u64>,
-    hists: BTreeMap<String, Histogram>,
-    ring: VecDeque<WindowAgg>,
+    /// The open window. A roll keeps every name, so it names every
+    /// instrument the series has seen.
+    cur: MetricsRegistry,
+    /// Closed windows `(index, window)`, oldest first.
+    ring: VecDeque<(u64, MetricsRegistry)>,
+    /// Non-zero counters of the windows evicted from the ring.
+    evicted: MetricsRegistry,
 }
 
 impl TimeSeries {
     /// Creates a series with the given window width, retaining up to
-    /// `retain` closed windows.
+    /// [`SERIES_RETAIN`] closed windows.
     ///
     /// # Panics
     ///
-    /// Panics if `width` is zero or `retain` is zero.
-    pub fn new(width: Duration, retain: usize) -> TimeSeries {
+    /// Panics if `width` is zero.
+    pub fn new(width: Duration) -> TimeSeries {
         assert!(!width.is_zero(), "window width must be non-zero");
-        assert!(retain > 0, "must retain at least one window");
         TimeSeries {
             width,
-            retain,
             open: 0,
-            rolled: 0,
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            hists: BTreeMap::new(),
-            ring: VecDeque::with_capacity(retain),
+            cur: MetricsRegistry::new(),
+            ring: VecDeque::with_capacity(SERIES_RETAIN),
+            evicted: MetricsRegistry::new(),
         }
-    }
-
-    /// The configured window width.
-    pub fn width(&self) -> Duration {
-        self.width
     }
 
     /// Number of windows closed so far.
     pub fn rolled(&self) -> u64 {
-        self.rolled
+        self.open
     }
 
     /// Adds `n` to the counter `name` in the open window.
     pub fn incr(&mut self, name: &str, n: u64) {
-        let c = self.counters.entry(name.to_owned()).or_default();
-        c.cur += n;
-        c.total += n;
+        self.cur.add(name, n);
     }
 
     /// Sets the gauge `name` to level `v` (persists across rolls).
     pub fn set_gauge(&mut self, name: &str, v: u64) {
-        *self.gauges.entry(name.to_owned()).or_default() = v;
+        self.cur.set_gauge(name, v);
     }
 
     /// Records `v` into the open window's histogram `name`.
     pub fn record(&mut self, name: &str, v: u64) {
-        self.hists.entry(name.to_owned()).or_default().record(v);
+        self.cur.record(name, v);
     }
 
     /// Merges a pre-accumulated histogram into the open window's
     /// histogram `name` (how drivers hand over a window's worth of
     /// latencies in one call).
     pub fn merge_hist(&mut self, name: &str, h: &Histogram) {
-        self.hists.entry(name.to_owned()).or_default().merge(h);
+        self.cur.merge_hist(name, h);
     }
 
     /// The index of the window containing `t`.
@@ -232,9 +125,13 @@ impl TimeSeries {
         t.as_ps() / self.width.as_ps()
     }
 
-    /// Lifetime total of the counter `name` across all windows.
+    /// Lifetime total of the counter `name`: the open window, the
+    /// retained ring and the evicted windows summed.
     pub fn lifetime(&self, name: &str) -> u64 {
-        self.counters.get(name).map(|c| c.total).unwrap_or(0)
+        let count = |w: &MetricsRegistry| w.counter(name).unwrap_or(0);
+        count(&self.cur)
+            + count(&self.evicted)
+            + self.ring.iter().map(|(_, w)| count(w)).sum::<u64>()
     }
 
     /// Closes every window that ends at or before `now`.
@@ -253,75 +150,33 @@ impl TimeSeries {
     }
 
     fn close_open(&mut self) {
-        let agg = WindowAgg {
-            index: self.open,
-            counters: self
-                .counters
-                .iter()
-                .map(|(n, c)| (n.clone(), c.cur))
-                .collect(),
-            gauges: self.gauges.iter().map(|(n, &v)| (n.clone(), v)).collect(),
-            hists: self
-                .hists
-                .iter()
-                .map(|(n, h)| (n.clone(), h.clone()))
-                .collect(),
-        };
-        for c in self.counters.values_mut() {
-            c.cur = 0;
-        }
-        for h in self.hists.values_mut() {
-            *h = Histogram::new();
-        }
-        self.push_agg(agg);
+        let closed = self.cur.clone();
+        self.cur.roll();
+        self.push_window(self.open, closed);
         self.open += 1;
-        self.rolled += 1;
     }
 
-    fn push_agg(&mut self, agg: WindowAgg) {
-        if self.ring.len() == self.retain {
-            let old = self.ring.pop_front().expect("ring non-empty at capacity");
-            for (name, v) in &old.counters {
-                self.counters.entry(name.clone()).or_default().evicted += v;
+    fn push_window(&mut self, index: u64, window: MetricsRegistry) {
+        if self.ring.len() == SERIES_RETAIN {
+            let (_, old) = self.ring.pop_front().expect("ring non-empty at capacity");
+            for (name, n) in counters(&old) {
+                if n > 0 {
+                    self.evicted.add(name, n);
+                }
             }
         }
-        self.ring.push_back(agg);
+        self.ring.push_back((index, window));
     }
 
-    /// Iterates retained closed windows, oldest first.
-    pub fn windows(&self) -> impl Iterator<Item = &WindowAgg> {
-        self.ring.iter()
+    /// Iterates retained closed windows `(index, window)`, oldest first
+    /// (window `i` covers `[i*width, (i+1)*width)`).
+    pub fn windows(&self) -> impl Iterator<Item = (u64, &MetricsRegistry)> {
+        self.ring.iter().map(|(i, w)| (*i, w))
     }
 
-    /// The most recent `n` closed windows, oldest first.
-    pub fn tail(&self, n: usize) -> impl Iterator<Item = &WindowAgg> {
-        self.ring.iter().skip(self.ring.len().saturating_sub(n))
-    }
-
-    /// Checks `telem.window_conserved`: for every counter, ring counts
-    /// plus evicted counts plus the open window equal the lifetime
-    /// total.
-    pub fn check_conservation(&self, cp: &mut CheckPlane) {
-        for (name, c) in &self.counters {
-            let ring_sum: u64 = self.ring.iter().map(|w| w.counter(name)).sum();
-            let accounted = ring_sum + c.evicted + c.cur;
-            cp.check(
-                invariant::TELEM_WINDOW_CONSERVED,
-                accounted == c.total,
-                || {
-                    format!(
-                        "counter `{name}`: ring {ring_sum} + evicted {} + open {} != lifetime {}",
-                        c.evicted, c.cur, c.total
-                    )
-                },
-            );
-        }
-    }
-
-    /// Folds another series into this one (cell-order merge). Window
-    /// aggregates merge index-by-index: counters and gauges add,
-    /// histograms merge raw. Lifetime and eviction bookkeeping add, so
-    /// conservation still holds on the merged series.
+    /// Folds another series into this one (cell-order merge). Windows
+    /// merge index-by-index as registries: counters and gauges add,
+    /// histograms merge raw.
     ///
     /// # Panics
     ///
@@ -331,35 +186,16 @@ impl TimeSeries {
             self.width, other.width,
             "cannot merge time series with different window widths"
         );
-        for (name, c) in &other.counters {
-            let mine = self.counters.entry(name.clone()).or_default();
-            mine.cur += c.cur;
-            mine.total += c.total;
-            mine.evicted += c.evicted;
+        self.cur.merge(&other.cur);
+        self.evicted.merge(&other.evicted);
+        let mut by_index: BTreeMap<u64, MetricsRegistry> = self.ring.drain(..).collect();
+        for (i, w) in &other.ring {
+            by_index.entry(*i).or_default().merge(w);
         }
-        for (name, &v) in &other.gauges {
-            *self.gauges.entry(name.clone()).or_default() += v;
-        }
-        for (name, h) in &other.hists {
-            self.hists.entry(name.clone()).or_default().merge(h);
-        }
-        let mut by_index: BTreeMap<u64, WindowAgg> = BTreeMap::new();
-        for agg in self.ring.drain(..) {
-            by_index.insert(agg.index, agg);
-        }
-        for agg in &other.ring {
-            match by_index.get_mut(&agg.index) {
-                Some(mine) => mine.merge(agg),
-                None => {
-                    by_index.insert(agg.index, agg.clone());
-                }
-            }
-        }
-        for (_, agg) in by_index {
-            self.push_agg(agg);
+        for (i, w) in by_index {
+            self.push_window(i, w);
         }
         self.open = self.open.max(other.open);
-        self.rolled = self.rolled.max(other.rolled);
     }
 
     /// Renders the series as canonical JSON: window parameters,
@@ -373,28 +209,16 @@ impl TimeSeries {
         out.push_str("{\"width_ns\":");
         out.push_str(&self.width.as_ns().to_string());
         out.push_str(",\"retain\":");
-        out.push_str(&self.retain.to_string());
+        out.push_str(&SERIES_RETAIN.to_string());
         out.push_str(",\"windows_rolled\":");
-        out.push_str(&self.rolled.to_string());
+        out.push_str(&self.open.to_string());
         out.push_str(",\"lifetime\":{");
-        let mut first = true;
-        for (name, c) in &self.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            json::escape(&mut out, name);
-            out.push(':');
-            out.push_str(&c.total.to_string());
-        }
+        push_levels(
+            &mut out,
+            counters(&self.cur).map(|(name, _)| (name, self.lifetime(name))),
+        );
         out.push_str("},\"windows\":[");
-        let width_ns = self.width.as_ns();
-        for (wi, agg) in self.ring.iter().enumerate() {
-            if wi > 0 {
-                out.push(',');
-            }
-            Self::window_json(&mut out, agg, width_ns);
-        }
+        self.push_windows(&mut out, self.ring.len());
         out.push_str("]}");
         out
     }
@@ -405,145 +229,149 @@ impl TimeSeries {
     pub fn tail_json(&self, n: usize) -> String {
         let mut out = String::with_capacity(64 + n * 128);
         out.push('[');
-        let width_ns = self.width.as_ns();
-        for (wi, agg) in self.tail(n).enumerate() {
-            if wi > 0 {
-                out.push(',');
-            }
-            Self::window_json(&mut out, agg, width_ns);
-        }
+        self.push_windows(&mut out, n);
         out.push(']');
         out
     }
 
-    fn window_json(out: &mut String, agg: &WindowAgg, width_ns: u64) {
-        out.push_str("{\"index\":");
-        out.push_str(&agg.index.to_string());
-        out.push_str(",\"start_ns\":");
-        out.push_str(&(agg.index * width_ns).to_string());
-        out.push_str(",\"end_ns\":");
-        out.push_str(&((agg.index + 1) * width_ns).to_string());
-        out.push_str(",\"counters\":{");
-        let mut f = true;
-        for (name, v) in &agg.counters {
-            if !f {
+    /// Appends the last `n` retained windows as comma-separated JSON
+    /// objects.
+    fn push_windows(&self, out: &mut String, n: usize) {
+        let width_ns = self.width.as_ns();
+        let skip = self.ring.len().saturating_sub(n);
+        for (wi, (index, w)) in self.ring.iter().skip(skip).enumerate() {
+            if wi > 0 {
                 out.push(',');
             }
-            f = false;
-            json::escape(out, name);
-            out.push(':');
-            out.push_str(&v.to_string());
-        }
-        out.push_str("},\"gauges\":{");
-        let mut f = true;
-        for (name, v) in &agg.gauges {
-            if !f {
-                out.push(',');
+            out.push_str("{\"index\":");
+            out.push_str(&index.to_string());
+            out.push_str(",\"start_ns\":");
+            out.push_str(&(index * width_ns).to_string());
+            out.push_str(",\"end_ns\":");
+            out.push_str(&((index + 1) * width_ns).to_string());
+            out.push_str(",\"counters\":{");
+            push_levels(out, counters(w));
+            out.push_str("},\"gauges\":{");
+            push_levels(out, gauges(w));
+            out.push_str("},\"hists\":{");
+            for (hi, (name, h)) in hists(w).enumerate() {
+                if hi > 0 {
+                    out.push(',');
+                }
+                json::escape(out, name);
+                out.push_str(":{\"count\":");
+                out.push_str(&h.count().to_string());
+                out.push_str(",\"p50\":");
+                out.push_str(&h.percentile(50.0).to_string());
+                out.push_str(",\"p99\":");
+                out.push_str(&h.percentile(99.0).to_string());
+                out.push_str(",\"max\":");
+                out.push_str(&h.max().to_string());
+                out.push('}');
             }
-            f = false;
-            json::escape(out, name);
-            out.push(':');
-            out.push_str(&v.to_string());
-        }
-        out.push_str("},\"hists\":{");
-        let mut f = true;
-        for (name, h) in &agg.hists {
-            if !f {
-                out.push(',');
-            }
-            f = false;
-            json::escape(out, name);
-            out.push_str(":{\"count\":");
-            out.push_str(&h.count().to_string());
-            out.push_str(",\"p50\":");
-            out.push_str(&h.percentile(50.0).to_string());
-            out.push_str(",\"p99\":");
-            out.push_str(&h.percentile(99.0).to_string());
-            out.push_str(",\"max\":");
-            out.push_str(&h.max().to_string());
-            out.push('}');
-        }
-        out.push_str("}}");
-    }
-}
-
-impl Snapshot for WindowAgg {
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_u64(self.index);
-        w.put_usize(self.counters.len());
-        for (name, v) in &self.counters {
-            w.put_str(name);
-            w.put_u64(*v);
-        }
-        w.put_usize(self.gauges.len());
-        for (name, v) in &self.gauges {
-            w.put_str(name);
-            w.put_u64(*v);
-        }
-        w.put_usize(self.hists.len());
-        for (name, h) in &self.hists {
-            w.put_str(name);
-            h.snapshot(w);
+            out.push_str("}}");
         }
     }
 }
 
-impl Restore for WindowAgg {
-    fn restore(r: &mut SnapReader<'_>) -> Result<WindowAgg, RestoreError> {
-        let index = r.get_u64()?;
-        let n = r.get_usize()?;
-        let mut counters = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = r.get_str()?;
-            counters.push((name, r.get_u64()?));
+/// A window's counters `(name, count)` in name order.
+fn counters(w: &MetricsRegistry) -> impl Iterator<Item = (&str, u64)> {
+    w.iter().filter_map(|(name, inst)| match inst {
+        Instrument::Counter(c) => Some((name, c.get())),
+        _ => None,
+    })
+}
+
+/// A window's gauges `(name, level)` in name order.
+fn gauges(w: &MetricsRegistry) -> impl Iterator<Item = (&str, u64)> {
+    w.iter().filter_map(|(name, inst)| match inst {
+        Instrument::Gauge(g) => Some((name, *g)),
+        _ => None,
+    })
+}
+
+/// A window's histograms in name order.
+fn hists(w: &MetricsRegistry) -> impl Iterator<Item = (&str, &Histogram)> {
+    w.iter().filter_map(|(name, inst)| match inst {
+        Instrument::Histogram(h) => Some((name, h)),
+        _ => None,
+    })
+}
+
+/// Appends `"name":value` pairs, comma-separated.
+fn push_levels<'a>(out: &mut String, pairs: impl Iterator<Item = (&'a str, u64)>) {
+    for (i, (name, v)) in pairs.enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        let n = r.get_usize()?;
-        let mut gauges = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = r.get_str()?;
-            gauges.push((name, r.get_u64()?));
-        }
-        let n = r.get_usize()?;
-        let mut hists = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = r.get_str()?;
-            hists.push((name, Histogram::restore(r)?));
-        }
-        Ok(WindowAgg {
-            index,
-            counters,
-            gauges,
-            hists,
-        })
+        json::escape(out, name);
+        out.push(':');
+        out.push_str(&v.to_string());
     }
 }
 
+/// Writes a length-prefixed section of `(name, value)` pairs.
+fn put_section<'a, T>(
+    w: &mut SnapWriter,
+    pairs: impl Iterator<Item = (&'a str, T)>,
+    put: impl Fn(&mut SnapWriter, T),
+) {
+    let pairs: Vec<(&str, T)> = pairs.collect();
+    w.put_usize(pairs.len());
+    for (name, v) in pairs {
+        w.put_str(name);
+        put(w, v);
+    }
+}
+
+/// Writes a window's gauge and histogram sections.
+fn put_gauges_hists(w: &mut SnapWriter, reg: &MetricsRegistry) {
+    put_section(w, gauges(reg), |w, v| w.put_u64(v));
+    put_section(w, hists(reg), |w, h| h.snapshot(w));
+}
+
+/// Reads a window's gauge and histogram sections into `reg`.
+fn get_gauges_hists(r: &mut SnapReader<'_>, reg: &mut MetricsRegistry) -> Result<(), RestoreError> {
+    for _ in 0..r.get_usize()? {
+        let name = r.get_str()?;
+        reg.insert_new(name, Instrument::Gauge(r.get_u64()?))?;
+    }
+    for _ in 0..r.get_usize()? {
+        let name = r.get_str()?;
+        reg.insert_new(name, Instrument::Histogram(Histogram::restore(r)?))?;
+    }
+    Ok(())
+}
+
+fn counter(n: u64) -> Instrument {
+    let mut c = Counter::new();
+    c.add(n);
+    Instrument::Counter(c)
+}
+
+/// Each counter of the open window is stored as `(open count, lifetime,
+/// evicted)`, then come its gauges and histograms, then the ring. The
+/// lifetime slot holds the computed sum, which keeps the layout at
+/// snapshot version 1; restore refuses a lifetime that disagrees.
 impl Snapshot for TimeSeries {
     fn snapshot(&self, w: &mut SnapWriter) {
         w.put_duration(self.width);
-        w.put_usize(self.retain);
+        w.put_usize(SERIES_RETAIN);
         w.put_u64(self.open);
-        w.put_u64(self.rolled);
-        w.put_usize(self.counters.len());
-        for (name, c) in &self.counters {
-            w.put_str(name);
-            w.put_u64(c.cur);
-            w.put_u64(c.total);
-            w.put_u64(c.evicted);
-        }
-        w.put_usize(self.gauges.len());
-        for (name, &v) in &self.gauges {
-            w.put_str(name);
-            w.put_u64(v);
-        }
-        w.put_usize(self.hists.len());
-        for (name, h) in &self.hists {
-            w.put_str(name);
-            h.snapshot(w);
-        }
+        w.put_u64(self.open);
+        let slots = |(name, n)| {
+            let gone = self.evicted.counter(name).unwrap_or(0);
+            (name, [n, self.lifetime(name), gone])
+        };
+        put_section(w, counters(&self.cur).map(slots), |w, slots| {
+            slots.into_iter().for_each(|v| w.put_u64(v))
+        });
+        put_gauges_hists(w, &self.cur);
         w.put_usize(self.ring.len());
-        for agg in &self.ring {
-            agg.snapshot(w);
+        for (index, reg) in &self.ring {
+            w.put_u64(*index);
+            put_section(w, counters(reg), |w, n| w.put_u64(n));
+            put_gauges_hists(w, reg);
         }
     }
 }
@@ -555,117 +383,86 @@ impl Restore for TimeSeries {
             return Err(malformed("time series window width is zero"));
         }
         let retain = r.get_usize()?;
-        if retain == 0 {
-            return Err(malformed("time series retains zero windows"));
+        if retain != SERIES_RETAIN {
+            return Err(malformed(format!(
+                "time series retains {retain} windows, not {SERIES_RETAIN}"
+            )));
         }
         let open = r.get_u64()?;
         let rolled = r.get_u64()?;
-        let n = r.get_usize()?;
-        let mut counters = BTreeMap::new();
-        for _ in 0..n {
-            let name = r.get_str()?;
-            let c = WinCounter {
-                cur: r.get_u64()?,
-                total: r.get_u64()?,
-                evicted: r.get_u64()?,
-            };
-            if counters.insert(name.clone(), c).is_some() {
-                return Err(malformed(format!("duplicate telemetry counter `{name}`")));
-            }
+        if rolled != open {
+            return Err(malformed(format!(
+                "time series rolled {rolled} windows but window {open} is open"
+            )));
         }
-        let n = r.get_usize()?;
-        let mut gauges = BTreeMap::new();
-        for _ in 0..n {
+        let mut cur = MetricsRegistry::new();
+        let mut evicted = MetricsRegistry::new();
+        let mut totals = Vec::new();
+        for _ in 0..r.get_usize()? {
             let name = r.get_str()?;
-            let v = r.get_u64()?;
-            if gauges.insert(name.clone(), v).is_some() {
-                return Err(malformed(format!("duplicate telemetry gauge `{name}`")));
+            let (count, total, gone) = (r.get_u64()?, r.get_u64()?, r.get_u64()?);
+            if gone > 0 {
+                evicted.add(&name, gone);
             }
+            totals.push((name.clone(), total));
+            cur.insert_new(name, counter(count))?;
         }
-        let n = r.get_usize()?;
-        let mut hists = BTreeMap::new();
-        for _ in 0..n {
-            let name = r.get_str()?;
-            let h = Histogram::restore(r)?;
-            if hists.insert(name.clone(), h).is_some() {
-                return Err(malformed(format!("duplicate telemetry histogram `{name}`")));
-            }
-        }
+        get_gauges_hists(r, &mut cur)?;
         let n = r.get_usize()?;
         if n > retain {
             return Err(malformed(format!(
                 "ring holds {n} windows, retain is {retain}"
             )));
         }
-        let mut ring = VecDeque::with_capacity(retain);
-        let mut last: Option<u64> = None;
+        let mut ring = VecDeque::with_capacity(SERIES_RETAIN);
         for _ in 0..n {
-            let agg = WindowAgg::restore(r)?;
-            if agg.index >= open {
+            let index = r.get_u64()?;
+            if index >= open {
                 return Err(malformed(format!(
-                    "ring window {} not before open window {open}",
-                    agg.index
+                    "ring window {index} not before open window {open}"
                 )));
             }
-            if let Some(prev) = last {
-                if agg.index <= prev {
-                    return Err(malformed("ring windows out of order"));
-                }
+            if ring.back().is_some_and(|(prev, _)| index <= *prev) {
+                return Err(malformed("ring windows out of order"));
             }
-            last = Some(agg.index);
-            ring.push_back(agg);
+            let mut reg = MetricsRegistry::new();
+            for _ in 0..r.get_usize()? {
+                let name = r.get_str()?;
+                reg.insert_new(name, counter(r.get_u64()?))?;
+            }
+            get_gauges_hists(r, &mut reg)?;
+            // the open window names every instrument, each with its kind
+            let stray = |(name, inst): &(&str, &Instrument)| {
+                cur.get(name).map(Instrument::kind) != Some(inst.kind())
+            };
+            if let Some((name, _)) = reg.iter().find(stray) {
+                return Err(malformed(format!(
+                    "window {index} holds `{name}` unlike the open window"
+                )));
+            }
+            ring.push_back((index, reg));
+        }
+        for (name, total) in totals {
+            let count = |w: &MetricsRegistry| u128::from(w.counter(&name).unwrap_or(0));
+            let sum =
+                count(&cur) + count(&evicted) + ring.iter().map(|(_, w)| count(w)).sum::<u128>();
+            if sum != u128::from(total) {
+                return Err(malformed(format!(
+                    "telemetry counter `{name}`: stored lifetime {total}, its windows sum to {sum}"
+                )));
+            }
         }
         Ok(TimeSeries {
             width,
-            retain,
             open,
-            rolled,
-            counters,
-            gauges,
-            hists,
+            cur,
             ring,
+            evicted,
         })
     }
 }
 
-/// Which anomaly classes latch a flight-recorder trigger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TriggerPolicy {
-    /// A closed window whose latency p99 exceeds the SLO deadline.
-    pub slo_breach: bool,
-    /// A closed window in which admission shed requests on a full queue.
-    pub queue_saturation: bool,
-    /// A CheckPlane violation observed since the last window.
-    pub check_violation: bool,
-    /// A resilience-layer domain quarantine since the last window.
-    pub quarantine: bool,
-}
-
-impl Default for TriggerPolicy {
-    /// All trigger classes armed.
-    fn default() -> TriggerPolicy {
-        TriggerPolicy {
-            slo_breach: true,
-            queue_saturation: true,
-            check_violation: true,
-            quarantine: true,
-        }
-    }
-}
-
-impl TriggerPolicy {
-    /// A policy with every trigger class disarmed.
-    pub fn none() -> TriggerPolicy {
-        TriggerPolicy {
-            slo_breach: false,
-            queue_saturation: false,
-            check_violation: false,
-            quarantine: false,
-        }
-    }
-}
-
-/// An anomaly class that can fire the flight recorder.
+/// An anomaly class that fires the flight recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TriggerKind {
     /// Window latency p99 exceeded the deadline.
@@ -679,6 +476,14 @@ pub enum TriggerKind {
 }
 
 impl TriggerKind {
+    /// Every trigger class, in snapshot-slot order.
+    const ALL: [TriggerKind; 4] = [
+        TriggerKind::SloBreach,
+        TriggerKind::QueueSaturation,
+        TriggerKind::CheckViolation,
+        TriggerKind::Quarantine,
+    ];
+
     /// Stable name used in exports.
     pub fn name(self) -> &'static str {
         match self {
@@ -688,15 +493,31 @@ impl TriggerKind {
             TriggerKind::Quarantine => "quarantine",
         }
     }
+}
 
-    fn armed_in(self, p: &TriggerPolicy) -> bool {
-        match self {
-            TriggerKind::SloBreach => p.slo_breach,
-            TriggerKind::QueueSaturation => p.queue_saturation,
-            TriggerKind::CheckViolation => p.check_violation,
-            TriggerKind::Quarantine => p.quarantine,
+/// Writes the per-class trigger flags of the snapshot layout: every
+/// class is always armed, so one `true` per [`TriggerKind`].
+pub fn put_trigger_slot(w: &mut SnapWriter) {
+    for _ in TriggerKind::ALL {
+        w.put_bool(true);
+    }
+}
+
+/// Reads the slot [`put_trigger_slot`] writes.
+///
+/// # Errors
+///
+/// [`RestoreError`] when the slot is truncated or disarms a class.
+pub fn check_trigger_slot(r: &mut SnapReader<'_>) -> Result<(), RestoreError> {
+    for kind in TriggerKind::ALL {
+        if !r.get_bool()? {
+            return Err(malformed(format!(
+                "snapshot disarms the `{}` trigger; every trigger is armed",
+                kind.name()
+            )));
         }
     }
+    Ok(())
 }
 
 /// One event in the flight ring.
@@ -723,142 +544,73 @@ pub struct TriggerFire {
     pub detail: String,
 }
 
-struct FlightInner {
-    cap: usize,
-    policy: TriggerPolicy,
+/// A bounded ring of recent events plus latched triggers.
+///
+/// The ring holds at most [`FLIGHT_EVENTS`] events; a full ring drops
+/// its oldest event (counted in `dropped`) so memory stays fixed.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FlightRecorder {
     ring: VecDeque<FlightEvent>,
     dropped: u64,
     triggers: Vec<TriggerFire>,
 }
 
-/// An always-on bounded ring of recent events plus latched triggers.
-///
-/// The disabled recorder is a single `Option` branch per call — no
-/// allocation, and detail closures are never invoked. Arming allocates
-/// the ring once; a full ring drops its oldest event (counted in
-/// `dropped`) so memory stays fixed.
-pub struct FlightRecorder {
-    inner: Option<Box<FlightInner>>,
-}
-
 impl FlightRecorder {
-    /// The no-op recorder: every call is one branch.
-    pub fn disabled() -> FlightRecorder {
-        FlightRecorder { inner: None }
-    }
-
-    /// Arms a recorder with a ring of `cap` events and the given
-    /// trigger policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero.
-    pub fn armed(cap: usize, policy: TriggerPolicy) -> FlightRecorder {
-        assert!(cap > 0, "flight ring capacity must be non-zero");
-        FlightRecorder {
-            inner: Some(Box::new(FlightInner {
-                cap,
-                policy,
-                ring: VecDeque::with_capacity(cap),
-                dropped: 0,
-                triggers: Vec::new(),
-            })),
-        }
-    }
-
-    /// True when the recorder is armed.
-    #[inline]
-    pub fn is_armed(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Records an event. Disabled: one branch, `detail` never runs.
-    #[inline]
+    /// Records an event, dropping the oldest one when the ring is full.
     pub fn note(&mut self, time: Time, kind: &str, detail: impl FnOnce() -> String) {
-        let Some(inner) = self.inner.as_deref_mut() else {
-            return;
-        };
-        if inner.ring.len() == inner.cap {
-            inner.ring.pop_front();
-            inner.dropped += 1;
+        if self.ring.len() == FLIGHT_EVENTS {
+            self.ring.pop_front();
+            self.dropped += 1;
         }
-        inner.ring.push_back(FlightEvent {
+        self.ring.push_back(FlightEvent {
             time,
             kind: kind.to_owned(),
             detail: detail(),
         });
     }
 
-    /// Latches a trigger if `kind` is armed in the policy. Returns
-    /// whether it fired. Disabled: one branch, `detail` never runs.
-    #[inline]
+    /// Latches a trigger.
     pub fn trigger(
         &mut self,
         time: Time,
         window: u64,
         kind: TriggerKind,
         detail: impl FnOnce() -> String,
-    ) -> bool {
-        let Some(inner) = self.inner.as_deref_mut() else {
-            return false;
-        };
-        if !kind.armed_in(&inner.policy) {
-            return false;
-        }
-        inner.triggers.push(TriggerFire {
+    ) {
+        self.triggers.push(TriggerFire {
             time,
             window,
             reason: kind.name().to_owned(),
             detail: detail(),
         });
-        true
-    }
-
-    /// True when at least one trigger has latched.
-    pub fn fired(&self) -> bool {
-        self.inner
-            .as_deref()
-            .map(|i| !i.triggers.is_empty())
-            .unwrap_or(false)
-    }
-
-    /// The earliest latched trigger, if any.
-    pub fn first_trigger(&self) -> Option<&TriggerFire> {
-        self.inner.as_deref().and_then(|i| i.triggers.first())
     }
 
     /// All latched triggers, in firing order.
     pub fn triggers(&self) -> &[TriggerFire] {
-        self.inner
-            .as_deref()
-            .map(|i| i.triggers.as_slice())
-            .unwrap_or(&[])
+        &self.triggers
     }
 
     /// Events currently in the ring, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &FlightEvent> {
-        self.inner.iter().flat_map(|i| i.ring.iter())
+        self.ring.iter()
     }
 
     /// Events dropped because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.inner.as_deref().map(|i| i.dropped).unwrap_or(0)
+        self.dropped
     }
 
-    /// Renders the recorder as canonical JSON: arming state, drop
-    /// count, the event ring oldest-first, and latched triggers in
-    /// firing order.
+    /// Renders the recorder as canonical JSON: ring depth, drop count,
+    /// the event ring oldest-first, and latched triggers in firing
+    /// order.
     pub fn to_json(&self) -> String {
-        let Some(inner) = self.inner.as_deref() else {
-            return "{\"armed\":false}".to_owned();
-        };
-        let mut out = String::with_capacity(64 + inner.ring.len() * 96);
+        let mut out = String::with_capacity(64 + self.ring.len() * 96);
         out.push_str("{\"armed\":true,\"cap\":");
-        out.push_str(&inner.cap.to_string());
+        out.push_str(&FLIGHT_EVENTS.to_string());
         out.push_str(",\"dropped\":");
-        out.push_str(&inner.dropped.to_string());
+        out.push_str(&self.dropped.to_string());
         out.push_str(",\"events\":[");
-        for (i, ev) in inner.ring.iter().enumerate() {
+        for (i, ev) in self.ring.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -871,7 +623,7 @@ impl FlightRecorder {
             out.push('}');
         }
         out.push_str("],\"triggers\":[");
-        for (i, t) in inner.triggers.iter().enumerate() {
+        for (i, t) in self.triggers.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -890,85 +642,27 @@ impl FlightRecorder {
     }
 }
 
-impl std::fmt::Debug for FlightRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.inner.as_deref() {
-            None => f.write_str("FlightRecorder(disabled)"),
-            Some(i) => write!(
-                f,
-                "FlightRecorder(armed, {} events, {} triggers)",
-                i.ring.len(),
-                i.triggers.len()
-            ),
-        }
-    }
-}
-
-impl Clone for FlightRecorder {
-    fn clone(&self) -> FlightRecorder {
-        FlightRecorder {
-            inner: self.inner.as_deref().map(|i| {
-                Box::new(FlightInner {
-                    cap: i.cap,
-                    policy: i.policy,
-                    ring: i.ring.clone(),
-                    dropped: i.dropped,
-                    triggers: i.triggers.clone(),
-                })
-            }),
-        }
-    }
-}
-
-impl PartialEq for FlightRecorder {
-    fn eq(&self, other: &FlightRecorder) -> bool {
-        self.to_json() == other.to_json()
-    }
-}
-
-impl Snapshot for TriggerPolicy {
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_bool(self.slo_breach);
-        w.put_bool(self.queue_saturation);
-        w.put_bool(self.check_violation);
-        w.put_bool(self.quarantine);
-    }
-}
-
-impl Restore for TriggerPolicy {
-    fn restore(r: &mut SnapReader<'_>) -> Result<TriggerPolicy, RestoreError> {
-        Ok(TriggerPolicy {
-            slo_breach: r.get_bool()?,
-            queue_saturation: r.get_bool()?,
-            check_violation: r.get_bool()?,
-            quarantine: r.get_bool()?,
-        })
-    }
-}
-
+/// The armed flag, ring depth and trigger flags are fixed; they are still
+/// written, which keeps the layout at snapshot version 1, and restore
+/// refuses any other value.
 impl Snapshot for FlightRecorder {
     fn snapshot(&self, w: &mut SnapWriter) {
-        match self.inner.as_deref() {
-            None => w.put_bool(false),
-            Some(i) => {
-                w.put_bool(true);
-                w.put_usize(i.cap);
-                i.policy.snapshot(w);
-                w.put_u64(i.dropped);
-                w.put_usize(i.ring.len());
-                for ev in &i.ring {
-                    w.put_time(ev.time);
-                    w.put_str(&ev.kind);
-                    w.put_str(&ev.detail);
-                }
-                w.put_usize(i.triggers.len());
-                for t in &i.triggers {
-                    w.put_time(t.time);
-                    w.put_u64(t.window);
-                    w.put_str(&t.reason);
-                    w.put_str(&t.detail);
-                }
-            }
+        w.put_bool(true);
+        w.put_usize(FLIGHT_EVENTS);
+        put_trigger_slot(w);
+        w.put_u64(self.dropped);
+        w.put_usize(self.ring.len());
+        for ev in &self.ring {
+            w.put_time(ev.time);
+            w.put_str(&ev.kind);
+            w.put_str(&ev.detail);
+        }
+        w.put_usize(self.triggers.len());
+        for t in &self.triggers {
+            w.put_time(t.time);
+            w.put_u64(t.window);
+            w.put_str(&t.reason);
+            w.put_str(&t.detail);
         }
     }
 }
@@ -976,47 +670,41 @@ impl Snapshot for FlightRecorder {
 impl Restore for FlightRecorder {
     fn restore(r: &mut SnapReader<'_>) -> Result<FlightRecorder, RestoreError> {
         if !r.get_bool()? {
-            return Ok(FlightRecorder::disabled());
+            return Err(malformed("flight recorder is disarmed"));
         }
         let cap = r.get_usize()?;
-        if cap == 0 {
-            return Err(malformed("flight ring capacity is zero"));
+        if cap != FLIGHT_EVENTS {
+            return Err(malformed(format!(
+                "flight ring holds {cap} events, not {FLIGHT_EVENTS}"
+            )));
         }
-        let policy = TriggerPolicy::restore(r)?;
-        let dropped = r.get_u64()?;
+        check_trigger_slot(r)?;
+        let mut fr = FlightRecorder {
+            dropped: r.get_u64()?,
+            ..FlightRecorder::default()
+        };
         let n = r.get_usize()?;
         if n > cap {
             return Err(malformed(format!(
                 "flight ring holds {n} events, cap is {cap}"
             )));
         }
-        let mut ring = VecDeque::with_capacity(cap);
         for _ in 0..n {
-            ring.push_back(FlightEvent {
+            fr.ring.push_back(FlightEvent {
                 time: r.get_time()?,
                 kind: r.get_str()?,
                 detail: r.get_str()?,
             });
         }
-        let n = r.get_usize()?;
-        let mut triggers = Vec::with_capacity(n);
-        for _ in 0..n {
-            triggers.push(TriggerFire {
+        for _ in 0..r.get_usize()? {
+            fr.triggers.push(TriggerFire {
                 time: r.get_time()?,
                 window: r.get_u64()?,
                 reason: r.get_str()?,
                 detail: r.get_str()?,
             });
         }
-        Ok(FlightRecorder {
-            inner: Some(Box::new(FlightInner {
-                cap,
-                policy,
-                ring,
-                dropped,
-                triggers,
-            })),
-        })
+        Ok(fr)
     }
 }
 
@@ -1028,9 +716,16 @@ mod tests {
         Time::ZERO + Duration::from_us(n)
     }
 
+    fn hist<'a>(w: &'a MetricsRegistry, name: &str) -> &'a Histogram {
+        match w.get(name) {
+            Some(Instrument::Histogram(h)) => h,
+            other => panic!("`{name}` is not a histogram: {other:?}"),
+        }
+    }
+
     #[test]
     fn windows_roll_on_fixed_boundaries() {
-        let mut ts = TimeSeries::new(Duration::from_us(10), 16);
+        let mut ts = TimeSeries::new(Duration::from_us(10));
         ts.incr("ev", 2);
         ts.advance(us(9)); // still inside window 0
         assert_eq!(ts.rolled(), 0);
@@ -1043,48 +738,54 @@ mod tests {
         assert_eq!(ts.rolled(), 4);
         let w: Vec<_> = ts.windows().collect();
         assert_eq!(w.len(), 4);
-        assert_eq!(w[0].counter("ev"), 2);
-        assert_eq!(w[1].counter("ev"), 5);
-        assert_eq!(w[2].counter("ev"), 0);
+        assert_eq!(w.iter().map(|(i, _)| *i).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        assert_eq!(w[0].1.counter("ev"), Some(2));
+        assert_eq!(w[1].1.counter("ev"), Some(5));
+        assert_eq!(w[2].1.counter("ev"), Some(0));
         assert_eq!(ts.lifetime("ev"), 7);
     }
 
     #[test]
     fn gauges_persist_and_hists_reset_per_window() {
-        let mut ts = TimeSeries::new(Duration::from_us(10), 16);
+        let mut ts = TimeSeries::new(Duration::from_us(10));
         ts.set_gauge("queue", 3);
         ts.record("lat", 100);
         ts.advance(us(10));
         ts.record("lat", 9_000);
         ts.finish(us(15));
-        let w: Vec<_> = ts.windows().collect();
-        assert_eq!(w[0].gauge("queue"), 3);
-        assert_eq!(w[1].gauge("queue"), 3, "gauge level persists");
-        assert_eq!(w[0].hist("lat").unwrap().count(), 1);
-        assert_eq!(w[1].hist("lat").unwrap().count(), 1);
-        assert_eq!(w[1].hist("lat").unwrap().max(), 9_000);
+        let w: Vec<_> = ts.windows().map(|(_, w)| w).collect();
+        assert_eq!(w[0].gauge("queue"), Some(3));
+        assert_eq!(w[1].gauge("queue"), Some(3), "gauge level persists");
+        assert_eq!(hist(w[0], "lat").count(), 1);
+        assert_eq!(hist(w[1], "lat").count(), 1);
+        assert_eq!(hist(w[1], "lat").max(), 9_000);
     }
 
     #[test]
     fn conservation_holds_through_ring_eviction() {
-        let mut ts = TimeSeries::new(Duration::from_us(1), 4);
-        for i in 0..12u64 {
+        let mut ts = TimeSeries::new(Duration::from_us(1));
+        let n = SERIES_RETAIN as u64 + 8;
+        for i in 0..n {
             ts.incr("ev", i + 1);
             ts.advance(us(i + 1));
         }
-        assert_eq!(ts.windows().count(), 4, "ring stays bounded");
-        let mut cp = CheckPlane::enabled(1);
-        ts.check_conservation(&mut cp);
-        assert!(cp.ok(), "{:?}", cp.first());
-        assert_eq!(ts.lifetime("ev"), (1..=12).sum::<u64>());
+        assert_eq!(ts.windows().count(), SERIES_RETAIN, "ring stays bounded");
+        let ring: u64 = ts.windows().map(|(_, w)| w.counter("ev").unwrap()).sum();
+        assert_eq!(
+            ring,
+            (9..=n).sum::<u64>(),
+            "the ring keeps the newest windows"
+        );
+        assert_eq!(ts.lifetime("ev"), (1..=n).sum::<u64>());
     }
 
     #[test]
     fn merge_equals_recording_into_one_series() {
-        let mut a = TimeSeries::new(Duration::from_us(10), 8);
-        let mut b = TimeSeries::new(Duration::from_us(10), 8);
-        let mut whole = TimeSeries::new(Duration::from_us(10), 8);
-        for i in 0..6u64 {
+        let mut a = TimeSeries::new(Duration::from_us(10));
+        let mut b = TimeSeries::new(Duration::from_us(10));
+        let mut whole = TimeSeries::new(Duration::from_us(10));
+        let n = SERIES_RETAIN as u64 + 2;
+        for i in 0..n {
             a.incr("ev", i);
             b.incr("ev", 10 * i);
             whole.incr("ev", 11 * i);
@@ -1096,19 +797,18 @@ mod tests {
             b.advance(us((i + 1) * 10));
             whole.advance(us((i + 1) * 10));
         }
-        a.finish(us(60));
-        b.finish(us(60));
-        whole.finish(us(60));
+        a.finish(us(n * 10));
+        b.finish(us(n * 10));
+        whole.finish(us(n * 10));
         a.merge(&b);
         assert_eq!(a.to_json(), whole.to_json());
-        let mut cp = CheckPlane::enabled(1);
-        a.check_conservation(&mut cp);
-        assert!(cp.ok(), "{:?}", cp.first());
+        assert_eq!(a, whole, "evicted windows merge too");
+        assert_eq!(a.lifetime("ev"), 11 * (0..n).sum::<u64>());
     }
 
     #[test]
     fn json_is_well_formed_and_reruns_identically() {
-        let mut ts = TimeSeries::new(Duration::from_us(10), 8);
+        let mut ts = TimeSeries::new(Duration::from_us(10));
         ts.incr("req", 3);
         ts.set_gauge("queue", 2);
         ts.record("lat", 150);
@@ -1130,73 +830,120 @@ mod tests {
         assert_eq!(ts.to_json(), text, "export is stable");
     }
 
-    #[test]
-    fn series_snapshot_round_trips() {
-        let mut ts = TimeSeries::new(Duration::from_us(2), 3);
-        for i in 0..8u64 {
+    fn evicting_series() -> TimeSeries {
+        let mut ts = TimeSeries::new(Duration::from_us(2));
+        for i in 0..SERIES_RETAIN as u64 + 5 {
             ts.incr("ev", i);
             ts.set_gauge("g", 100 - i);
             ts.record("lat", 1_000 * (i + 1));
             ts.advance(us(2 * (i + 1)));
         }
+        ts
+    }
+
+    fn snapshot_bytes(ts: &TimeSeries) -> Vec<u8> {
         let mut w = SnapWriter::new();
         ts.snapshot(&mut w);
-        let bytes = w.into_bytes();
+        w.into_bytes()
+    }
+
+    #[test]
+    fn series_snapshot_round_trips() {
+        let ts = evicting_series();
+        let bytes = snapshot_bytes(&ts);
         let mut r = SnapReader::new(&bytes);
         let back = TimeSeries::restore(&mut r).expect("restore");
         assert!(r.is_exhausted());
         assert_eq!(back, ts);
         assert_eq!(back.to_json(), ts.to_json());
-        let mut w2 = SnapWriter::new();
-        back.snapshot(&mut w2);
-        assert_eq!(w2.into_bytes(), bytes, "re-serialize is byte-identical");
+        assert_eq!(
+            snapshot_bytes(&back),
+            bytes,
+            "re-serialize is byte-identical"
+        );
+    }
+
+    /// Byte offset of the `ev` counter's `(open, lifetime, evicted)`
+    /// slots in an [`evicting_series`] snapshot: width, retain, open,
+    /// rolled, the counter count, then the name.
+    fn ev_slots(bytes: &[u8]) -> usize {
+        let name = b"ev";
+        bytes
+            .windows(name.len())
+            .position(|w| w == name)
+            .expect("counter name in the stream")
+            + name.len()
     }
 
     #[test]
-    fn disabled_recorder_is_inert_and_closures_never_run() {
-        let mut fr = FlightRecorder::disabled();
-        assert!(!fr.is_armed());
-        fr.note(us(1), "x", || {
-            panic!("detail must not be built when disabled")
-        });
-        let fired = fr.trigger(us(1), 0, TriggerKind::SloBreach, || {
-            panic!("detail must not be built when disabled")
-        });
-        assert!(!fired);
-        assert!(!fr.fired());
-        assert_eq!(fr.events().count(), 0);
-        assert_eq!(fr.to_json(), "{\"armed\":false}");
+    fn restore_refuses_a_lifetime_its_windows_do_not_sum_to() {
+        let ts = evicting_series();
+        let mut bytes = snapshot_bytes(&ts);
+        let at = ev_slots(&bytes) + 8;
+        let stored = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        assert_eq!(stored, ts.lifetime("ev"), "lifetime slot located");
+        bytes[at..at + 8].copy_from_slice(&(stored + 1).to_le_bytes());
+        match TimeSeries::restore(&mut SnapReader::new(&bytes)) {
+            Err(RestoreError::Malformed { context }) => {
+                assert!(context.contains("stored lifetime"), "{context}")
+            }
+            other => panic!("a non-conserving lifetime restored: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn restore_refuses_one_name_under_two_kinds() {
+        let mut ts = TimeSeries::new(Duration::from_us(2));
+        ts.incr("ev", 1);
+        ts.set_gauge("gv", 7);
+        ts.advance(us(2));
+        let bytes = snapshot_bytes(&ts);
+        // same-length rename: the gauge now shares the counter's name
+        let mut clash = bytes.clone();
+        let at = clash.windows(2).position(|w| w == b"gv").unwrap();
+        clash[at..at + 2].copy_from_slice(b"ev");
+        match TimeSeries::restore(&mut SnapReader::new(&clash)) {
+            Err(RestoreError::Malformed { context }) => {
+                assert!(context.contains("`ev` is already a counter"), "{context}")
+            }
+            other => panic!("a two-kind name restored: {other:?}"),
+        }
+        // the same clash inside a closed window is refused too
+        let mut clash = bytes;
+        let at = clash.windows(2).rposition(|w| w == b"gv").unwrap();
+        clash[at..at + 2].copy_from_slice(b"ev");
+        assert!(matches!(
+            TimeSeries::restore(&mut SnapReader::new(&clash)),
+            Err(RestoreError::Malformed { .. })
+        ));
     }
 
     #[test]
     fn armed_ring_is_bounded_and_counts_drops() {
-        let mut fr = FlightRecorder::armed(3, TriggerPolicy::default());
-        for i in 0..5u64 {
+        let mut fr = FlightRecorder::default();
+        for i in 0..FLIGHT_EVENTS as u64 + 2 {
             fr.note(us(i), "tick", || format!("event {i}"));
         }
-        assert_eq!(fr.events().count(), 3);
+        assert_eq!(fr.events().count(), FLIGHT_EVENTS);
         assert_eq!(fr.dropped(), 2);
-        let kinds: Vec<u64> = fr.events().map(|e| e.time.as_ns() / 1_000).collect();
-        assert_eq!(kinds, vec![2, 3, 4], "oldest events dropped first");
+        let first = fr.events().next().unwrap().time;
+        assert_eq!(first, us(2), "oldest events dropped first");
     }
 
     #[test]
-    fn trigger_policy_gates_firing() {
-        let mut policy = TriggerPolicy::none();
-        policy.quarantine = true;
-        let mut fr = FlightRecorder::armed(8, policy);
-        assert!(!fr.trigger(us(1), 0, TriggerKind::SloBreach, || "p99".into()));
-        assert!(fr.trigger(us(2), 1, TriggerKind::Quarantine, || "domain 3".into()));
-        assert!(fr.fired());
-        let t = fr.first_trigger().unwrap();
-        assert_eq!(t.reason, "quarantine");
-        assert_eq!(t.window, 1);
+    fn every_trigger_class_latches() {
+        let mut fr = FlightRecorder::default();
+        fr.trigger(us(1), 0, TriggerKind::SloBreach, || "p99".into());
+        fr.trigger(us(2), 1, TriggerKind::Quarantine, || "domain 3".into());
+        let reasons: Vec<&str> = fr.triggers().iter().map(|t| t.reason.as_str()).collect();
+        assert_eq!(reasons, ["slo_breach", "quarantine"]);
+        assert_eq!(fr.triggers()[0].window, 0);
     }
 
     #[test]
     fn recorder_snapshot_round_trips() {
-        let mut fr = FlightRecorder::armed(4, TriggerPolicy::default());
-        for i in 0..6u64 {
+        let mut fr = FlightRecorder::default();
+        for i in 0..FLIGHT_EVENTS as u64 + 2 {
             fr.note(us(i), "tick", || format!("event {i}"));
         }
         fr.trigger(us(9), 2, TriggerKind::CheckViolation, || "boom".into());
@@ -1206,21 +953,32 @@ mod tests {
         let mut r = SnapReader::new(&bytes);
         let back = FlightRecorder::restore(&mut r).expect("restore");
         assert!(r.is_exhausted());
-        assert_eq!(back.to_json(), fr.to_json());
+        assert_eq!(back, fr);
         assert_eq!(back.dropped(), 2);
 
-        let disabled = FlightRecorder::disabled();
-        let mut w = SnapWriter::new();
-        disabled.snapshot(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        let back = FlightRecorder::restore(&mut r).expect("restore");
-        assert!(!back.is_armed());
+        // another ring depth is refused
+        let mut bad = bytes.clone();
+        bad[1] = 3;
+        assert!(FlightRecorder::restore(&mut SnapReader::new(&bad)).is_err());
+        // a disarmed trigger class in the policy slot is refused
+        let mut bad = bytes.clone();
+        bad[1 + 8 + 2] = 0; // armed flag, cap, then the third class
+        match FlightRecorder::restore(&mut SnapReader::new(&bad)) {
+            Err(RestoreError::Malformed { context }) => {
+                assert!(context.contains("check_violation"), "{context}")
+            }
+            other => panic!("a disarmed trigger restored: {other:?}"),
+        }
+
+        // so is a snapshot of a disarmed recorder
+        let mut bad = bytes;
+        bad[0] = 0;
+        assert!(FlightRecorder::restore(&mut SnapReader::new(&bad)).is_err());
     }
 
     #[test]
     fn flight_json_parses() {
-        let mut fr = FlightRecorder::armed(4, TriggerPolicy::default());
+        let mut fr = FlightRecorder::default();
         fr.note(us(1), "exemplar", || "req 7 \"quoted\"".into());
         fr.trigger(us(2), 0, TriggerKind::SloBreach, || {
             "p99 300us > 250us".into()

@@ -79,6 +79,13 @@ grep -q '"windows"' target/telem_smoke.json
 ./target/release/exp_all --scale quick --serve "$BREACH" \
     --telemetry target/telem_smoke_b.json e01 > /dev/null 2>&1
 cmp target/telem_smoke.json target/telem_smoke_b.json
+# the dumped pre-trigger snapshot resumed with telemetry armed must
+# reproduce the uninterrupted capture: this pins the telemetry sections
+# of the snapshot layout, which the snapshot smoke above runs without
+./target/release/exp_all --scale quick --serve "$BREACH" \
+    --resume target/flight_smoke/snapshot.bin \
+    --telemetry target/telem_smoke_resumed.json e01 > /dev/null 2>&1
+cmp target/telem_smoke.json target/telem_smoke_resumed.json
 
 echo "== tier-1: seeded fuzz smoke (CheckPlane) =="
 # 64 seeded configs across topology x policy x faults x threads x shards,

@@ -201,7 +201,7 @@ fn telemetry_json_schema_is_pinned() {
     use ecoscale::bench::obs::{telemetry_shard_series, TelemetryCapture};
     use ecoscale::core::{linear_test_mix, run_serve_sim, ServeSimConfig};
     use ecoscale::runtime::ServeSpec;
-    use ecoscale::sim::{CampaignSpec, Duration, TelemetryConfig};
+    use ecoscale::sim::{CampaignSpec, Duration};
     // an unmeetable 1µs deadline guarantees a populated flight recorder
     let spec = ServeSpec::parse("seed=21,tenants=4,rate=100000,horizon=500us,batch=4,deadline=1us")
         .expect("spec parses");
@@ -210,7 +210,7 @@ fn telemetry_json_schema_is_pinned() {
     cfg.cells = 2;
     cfg.faults = CampaignSpec::parse("seed=5,seu=200us,smmu=0.002,scrub=400us")
         .expect("campaign spec parses");
-    cfg.telemetry = Some(TelemetryConfig::new(Duration::from_us(50)));
+    cfg.telemetry = Some(Duration::from_us(50));
     let out = run_serve_sim(&cfg);
     let cap = TelemetryCapture {
         serve: out.telemetry.expect("telemetry armed"),
