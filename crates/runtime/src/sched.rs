@@ -1250,6 +1250,96 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// One pinned row: every [`SchedReport`] field (`f64`s as bits), then
+    /// the fnv1a64 of the exported metrics JSON and of the Chrome trace.
+    type PinRow = [u64; 11];
+
+    /// Runs each policy under crash + stall faults and each recovery
+    /// config, returning one [`PinRow`] per run.
+    fn faulted_pin_rows() -> Vec<PinRow> {
+        use ecoscale_sim::snap::fnv1a64;
+        let trace = skewed_trace(300, 8, 120_000, 1.2, 7);
+        let configs = [
+            ResilienceConfig::none(),
+            ResilienceConfig::full(),
+            ResilienceConfig {
+                quarantine_after: 2,
+                ..ResilienceConfig::retry_only()
+            },
+        ];
+        let mut rows = Vec::new();
+        for policy in [
+            SchedPolicy::LazyLocal { probes: 2 },
+            SchedPolicy::Centralized,
+            SchedPolicy::RandomPush,
+        ] {
+            for config in configs {
+                let spec = CampaignSpec::parse("seed=7,crash=1ms,stall=500us,stall_for=100us")
+                    .expect("valid spec");
+                let tracer = Tracer::buffering();
+                let mut sim = ClusterSim::new(8, policy, 1)
+                    .with_faults(&spec, config)
+                    .with_tracer(tracer.clone(), "pin");
+                let r = sim.run(&trace);
+                let mut m = MetricsRegistry::new();
+                sim.export_metrics(&mut m, "sched");
+                rows.push([
+                    r.makespan.as_ps(),
+                    r.sched_overhead.as_ps(),
+                    r.messages,
+                    r.max_utilization.to_bits(),
+                    r.mean_utilization.to_bits(),
+                    r.imbalance.to_bits(),
+                    r.completed,
+                    r.lost,
+                    r.availability.to_bits(),
+                    fnv1a64(m.to_json().as_bytes()),
+                    fnv1a64(tracer.take().to_chrome_json().as_bytes()),
+                ]);
+            }
+        }
+        rows
+    }
+
+    /// Golden values for the fault paths (crash orphan re-homing, stall
+    /// wake-ups, quarantine, failed central dispatch), which the
+    /// fault-free benchmark digests do not reach: the event order, every
+    /// RNG draw, every report field, metric and trace span must hold.
+    #[test]
+    fn pins_faulted_runs() {
+        #[rustfmt::skip]
+        const PINNED: [PinRow; 9] = [
+            // lazy, none
+            [7447983877, 14400000, 48, 4606913434085850410, 4601036698444535186, 4604659362134472374, 171, 129, 4600802709430345796,
+             16072162612737348703, 3931424681589645660],
+            // lazy, full
+            [4808505140, 14100000, 47, 4606908743692916596, 4602810777199461646, 4603162680778699390, 139, 161, 4602779690541527984,
+             46361813482792918, 1740102752302594710],
+            // lazy, retry_only + quarantine_after 2
+            [4093968780, 14100000, 47, 4606163211182113790, 4603162187676006664, 4602606473242648477, 127, 173, 4603176768032030018,
+             8982819906540718500, 8674280371635430339],
+            // central, none
+            [7437495544, 145550117, 362, 4606791332862530561, 4601158103119703724, 4604406998003946355, 173, 127, 4600812765670516536,
+             6535724360482428914, 7052249669900421792],
+            // central, full
+            [4819755440, 121594882, 300, 4606898647195190921, 4602974453719946575, 4603089670507262888, 144, 156, 4602768942759675980,
+             8744399912105368418, 9572487012786631757],
+            // central, retry_only + quarantine_after 2
+            [3965007948, 111339500, 274, 4606973953954109734, 4603487459497579829, 4602663600558312374, 131, 169, 4603339442070165411,
+             15698556634730814145, 15380999487645348364],
+            // random, none
+            [7482254710, 0, 300, 4606846414201341570, 4600952483870133518, 4604977812471427013, 169, 131, 4600770047032811766,
+             15183372600420883851, 7435131689085809462],
+            // random, full
+            [4815829306, 0, 643, 4606896237473088960, 4602770055965015767, 4603671905120417446, 137, 163, 4602772687820340022,
+             13722967386518703670, 4192954516115061062],
+            // random, retry_only + quarantine_after 2
+            [3990495449, 0, 668, 4607133807877708576, 4603223437322648933, 4603308505801751222, 124, 176, 4603306457913573950,
+             17692269935868606055, 14561942920180613839],
+        ];
+        assert_eq!(faulted_pin_rows(), PINNED);
+    }
+
     #[test]
     fn faulted_run_exports_resilience_metrics() {
         let spec = CampaignSpec::parse("seed=3,crash=1ms").expect("valid spec");
