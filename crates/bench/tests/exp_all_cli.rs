@@ -257,6 +257,15 @@ fn malformed_faults_spec_exits_2_with_offending_pair() {
     assert!(err.contains("`frobnicate=1ms`"), "stderr: {err}");
     // usage follows so the operator sees the expected shape
     assert!(err.contains("usage: exp_all"), "stderr: {err}");
+
+    // so is a zero duration: a fault is turned off by omitting its key
+    let out = exp_all()
+        .args(["--faults", "seed=1,seu=0s", "e16"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("`seu=0s`"), "stderr: {err}");
 }
 
 #[test]

@@ -33,7 +33,8 @@ impl fmt::Display for SlotId {
     }
 }
 
-/// A placed module instance: which module, where, how wide.
+/// A placed module instance: which module, where, how wide, and the
+/// resources it demanded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
     /// The placement handle.
@@ -44,6 +45,9 @@ pub struct Placement {
     pub col: u32,
     /// Width in columns.
     pub width: u32,
+    /// The footprint the module was placed for; defragmentation sizes
+    /// the module's new window from it.
+    pub need: Resources,
 }
 
 /// Placement failure.
@@ -95,7 +99,6 @@ impl Error for PlaceError {}
 pub struct Floorplanner {
     fabric: Fabric,
     placements: BTreeMap<SlotId, Placement>,
-    demands: BTreeMap<SlotId, Resources>,
     next_slot: u32,
 }
 
@@ -105,7 +108,6 @@ impl Floorplanner {
         Floorplanner {
             fabric,
             placements: BTreeMap::new(),
-            demands: BTreeMap::new(),
             next_slot: 0,
         }
     }
@@ -190,9 +192,9 @@ impl Floorplanner {
                             module,
                             col,
                             width,
+                            need,
                         },
                     );
-                    self.demands.insert(slot, need);
                     return Ok(slot);
                 }
             }
@@ -205,7 +207,6 @@ impl Floorplanner {
 
     /// Removes a placement, returning whether it existed.
     pub fn remove(&mut self, slot: SlotId) -> bool {
-        self.demands.remove(&slot);
         self.placements.remove(&slot).is_some()
     }
 
@@ -251,7 +252,7 @@ impl Floorplanner {
     }
 
     /// Serializes the floorplan's mutable state: every placement with
-    /// its recorded demand (slot order), and the slot-id counter. The
+    /// its demand (slot order), and the slot-id counter. The
     /// fabric itself is structural and not written.
     pub fn snapshot_state(&self, w: &mut ecoscale_sim::SnapWriter) {
         w.put_usize(self.placements.len());
@@ -260,10 +261,9 @@ impl Floorplanner {
             w.put_u32(p.module.0);
             w.put_u32(p.col);
             w.put_u32(p.width);
-            let need = self.demands.get(&slot).copied().unwrap_or(Resources::ZERO);
-            w.put_u32(need.clb);
-            w.put_u32(need.bram);
-            w.put_u32(need.dsp);
+            w.put_u32(p.need.clb);
+            w.put_u32(p.need.bram);
+            w.put_u32(p.need.dsp);
         }
         w.put_u32(self.next_slot);
     }
@@ -288,7 +288,6 @@ impl Floorplanner {
             )));
         }
         let mut placements = BTreeMap::new();
-        let mut demands = BTreeMap::new();
         let mut prev: Option<u32> = None;
         for i in 0..n {
             let slot = r.get_u32()?;
@@ -318,9 +317,9 @@ impl Floorplanner {
                     module,
                     col,
                     width,
+                    need,
                 },
             );
-            demands.insert(slot, need);
         }
         let next_slot = r.get_u32()?;
         if placements
@@ -333,7 +332,6 @@ impl Floorplanner {
             )));
         }
         self.placements = placements;
-        self.demands = demands;
         self.next_slot = next_slot;
         Ok(())
     }
@@ -344,8 +342,8 @@ impl Floorplanner {
     /// * `fabric.region_exclusive` — placements are pairwise disjoint and
     ///   lie entirely inside the fabric.
     /// * `fabric.demand_satisfied` — each placed window's resources still
-    ///   cover the demand recorded at placement time (so defragmentation
-    ///   never migrates a module onto an inadequate window).
+    ///   cover the placement's demand (so defragmentation never migrates
+    ///   a module onto an inadequate window).
     pub fn check_invariants(&self, cp: &mut CheckPlane) {
         if !cp.is_enabled() {
             return;
@@ -378,28 +376,12 @@ impl Floorplanner {
                 height: self.fabric.rows(),
             };
             let have = self.fabric.region_resources(&region);
-            match self.demands.get(slot) {
-                Some(need) => cp.check(
-                    invariant::FABRIC_DEMAND_SATISFIED,
-                    need.fits_in(&have),
-                    || format!("{slot} demands {need} but its window offers {have}"),
-                ),
-                None => cp.check(invariant::FABRIC_DEMAND_SATISFIED, false, || {
-                    format!("{slot} has a placement but no recorded demand")
-                }),
-            }
+            cp.check(
+                invariant::FABRIC_DEMAND_SATISFIED,
+                p.need.fits_in(&have),
+                || format!("{slot} demands {} but its window offers {have}", p.need),
+            );
         }
-        cp.check(
-            invariant::FABRIC_DEMAND_SATISFIED,
-            self.demands.len() == self.placements.len(),
-            || {
-                format!(
-                    "{} demands recorded for {} placements",
-                    self.demands.len(),
-                    self.placements.len()
-                )
-            },
-        );
     }
 
     /// Plans and applies a left-compaction. Returns the migrations
@@ -415,11 +397,9 @@ impl Floorplanner {
         let mut migrations = Vec::new();
         let mut cursor = 0u32;
         for slot in order {
-            let (old_col, _old_width) = {
-                let p = &self.placements[&slot];
-                (p.col, p.width)
-            };
-            let need = self.demands[&slot];
+            let Placement {
+                col: old_col, need, ..
+            } = self.placements[&slot];
             // Recompute the bounding box at the new position: the column
             // mix differs, so the width may change.
             let new_col = cursor;

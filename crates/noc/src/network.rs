@@ -79,6 +79,16 @@ struct LinkFaultModel {
     corrupted: Counter,
 }
 
+/// One link's contention state.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct LinkState {
+    /// When the link next becomes free.
+    free_at: Time,
+    /// Cumulative time the link was held by messages, the basis of
+    /// per-link utilization.
+    busy: Duration,
+}
+
 /// A contention-aware network instance.
 ///
 /// # Example
@@ -97,7 +107,8 @@ struct LinkFaultModel {
 pub struct Network<T: Topology> {
     topo: T,
     config: NetworkConfig,
-    link_free_at: HashMap<LinkId, Time>,
+    /// Every link a message has held.
+    links: HashMap<LinkId, LinkState>,
     stats: TrafficStats,
     /// Memoized routes per (src, dst) pair. Topologies are static between
     /// [`Network::invalidate_routes`] calls, and traffic patterns reuse
@@ -105,11 +116,7 @@ pub struct Network<T: Topology> {
     route_memo: HashMap<(NodeId, NodeId), Route>,
     route_memo_hits: u64,
     route_memo_misses: u64,
-    hop_hist: Histogram,
     queue_ns: OnlineStats,
-    /// Cumulative busy time per link (the intervals a link was held by a
-    /// message), the basis of per-link utilization.
-    link_busy: HashMap<LinkId, Duration>,
     tracer: Tracer,
     link_tracks: HashMap<LinkId, TrackId>,
     faults: Option<LinkFaultModel>,
@@ -121,14 +128,12 @@ impl<T: Topology> Network<T> {
         Network {
             topo,
             config,
-            link_free_at: HashMap::new(),
+            links: HashMap::new(),
             stats: TrafficStats::new(),
             route_memo: HashMap::new(),
             route_memo_hits: 0,
             route_memo_misses: 0,
-            hop_hist: Histogram::new(),
             queue_ns: OnlineStats::new(),
-            link_busy: HashMap::new(),
             tracer: Tracer::disabled(),
             link_tracks: HashMap::new(),
             faults: None,
@@ -223,7 +228,6 @@ impl<T: Topology> Network<T> {
     pub fn transfer(&mut self, start: Time, src: NodeId, dst: NodeId, bytes: u64) -> Delivery {
         let route = self.memoized_route(src, dst);
         self.stats.record(&route, bytes, &self.config.cost);
-        self.hop_hist.record(route.hop_count() as u64);
         if route.is_local() {
             self.queue_ns.record(0.0);
             return Delivery {
@@ -256,11 +260,7 @@ impl<T: Topology> Network<T> {
             let mut degraded_any = false;
             for hop in route.iter() {
                 let p = *self.config.cost.level_params(hop.level);
-                let free = self
-                    .link_free_at
-                    .get(&hop.link)
-                    .copied()
-                    .unwrap_or(Time::ZERO);
+                let free = self.links.get(&hop.link).map_or(Time::ZERO, |l| l.free_at);
                 if free > cursor {
                     queueing += free - cursor;
                     cursor = free;
@@ -273,8 +273,7 @@ impl<T: Topology> Network<T> {
                 }
                 let held_from = cursor;
                 cursor += p.hop_latency;
-                self.link_free_at.insert(hop.link, cursor);
-                self.note_link_use(hop.link, held_from, cursor - held_from);
+                self.hold_link(hop.link, held_from, cursor);
                 min_bw = min_bw.min(p.bandwidth);
             }
             if bytes > 0 {
@@ -289,11 +288,7 @@ impl<T: Topology> Network<T> {
             // Store-and-forward: each link serializes the whole payload.
             for hop in route.iter() {
                 let p = *self.config.cost.level_params(hop.level);
-                let free = self
-                    .link_free_at
-                    .get(&hop.link)
-                    .copied()
-                    .unwrap_or(Time::ZERO);
+                let free = self.links.get(&hop.link).map_or(Time::ZERO, |l| l.free_at);
                 if free > cursor {
                     queueing += free - cursor;
                     cursor = free;
@@ -310,8 +305,7 @@ impl<T: Topology> Network<T> {
                     }
                     cursor += ser;
                 }
-                self.link_free_at.insert(hop.link, cursor);
-                self.note_link_use(hop.link, held_from, cursor - held_from);
+                self.hold_link(hop.link, held_from, cursor);
             }
         }
         self.queue_ns.record(queueing.as_ns_f64());
@@ -331,10 +325,14 @@ impl<T: Topology> Network<T> {
         }
     }
 
-    /// Records one link occupancy interval: accumulates per-link busy
-    /// time and, when tracing, emits a span on the link's track.
-    fn note_link_use(&mut self, link: LinkId, from: Time, held: Duration) {
-        *self.link_busy.entry(link).or_insert(Duration::ZERO) += held;
+    /// Records that a message held `link` from `from` until `until`: the
+    /// link is free again at `until`, its busy time grows, and, when
+    /// tracing, the interval becomes a span on the link's track.
+    fn hold_link(&mut self, link: LinkId, from: Time, until: Time) {
+        let held = until - from;
+        let state = self.links.entry(link).or_default();
+        state.free_at = until;
+        state.busy += held;
         if self.tracer.is_enabled() {
             let track = match self.link_tracks.get(&link) {
                 Some(&t) => t,
@@ -350,7 +348,7 @@ impl<T: Topology> Network<T> {
 
     /// Cumulative busy time of `link` so far.
     pub fn link_busy(&self, link: LinkId) -> Duration {
-        self.link_busy.get(&link).copied().unwrap_or(Duration::ZERO)
+        self.links.get(&link).map_or(Duration::ZERO, |l| l.busy)
     }
 
     /// Folds NoC instruments into `m` under `prefix`: message/byte
@@ -368,14 +366,12 @@ impl<T: Topology> Network<T> {
             self.stats.payload_bytes(),
         );
         m.add(&format!("{prefix}.byte_hops"), self.stats.byte_hops());
-        m.merge_hist(&format!("{prefix}.hops"), &self.hop_hist);
+        m.merge_hist(&format!("{prefix}.hops"), self.stats.hops());
         m.merge_stats(&format!("{prefix}.queue_ns"), &self.queue_ns);
-        m.add(&format!("{prefix}.links_used"), self.link_busy.len() as u64);
+        m.add(&format!("{prefix}.links_used"), self.links.len() as u64);
         let busy_name = format!("{prefix}.link_busy_us");
-        let mut links: Vec<(&LinkId, &Duration)> = self.link_busy.iter().collect();
-        links.sort_by_key(|(id, _)| **id);
-        for (_, busy) in links {
-            m.record(&busy_name, busy.as_ns() / 1_000);
+        for (_, state) in self.sorted_links() {
+            m.record(&busy_name, state.busy.as_ns() / 1_000);
         }
         m.add(&format!("{prefix}.route_memo_hits"), self.route_memo_hits);
         m.add(
@@ -424,10 +420,8 @@ impl<T: Topology> Network<T> {
     /// * `noc.route_memo_fresh` — every memoized route equals a fresh
     ///   computation on the topology.
     /// * `noc.conservation` — every transfer is counted exactly once in the
-    ///   hop histogram and queueing stats, and the memo counters cover at
-    ///   least every recorded message (they survive [`Network::reset`]).
-    /// * `noc.link_bookkeeping` — busy-time and free-at maps track the same
-    ///   link set.
+    ///   queueing stats, and the memo counters cover at least every
+    ///   recorded message (they survive [`Network::reset`]).
     pub fn check_invariants(&self, cp: &mut CheckPlane) {
         if !cp.is_enabled() {
             return;
@@ -440,16 +434,6 @@ impl<T: Topology> Network<T> {
             );
         }
         let messages = self.stats.messages();
-        cp.check(
-            invariant::NOC_CONSERVATION,
-            self.hop_hist.count() == messages,
-            || {
-                format!(
-                    "hop histogram holds {} samples for {messages} messages",
-                    self.hop_hist.count()
-                )
-            },
-        );
         cp.check(
             invariant::NOC_CONSERVATION,
             self.queue_ns.count() == messages,
@@ -470,13 +454,14 @@ impl<T: Topology> Network<T> {
                 )
             },
         );
-        for link in self.link_busy.keys() {
-            cp.check(
-                invariant::NOC_LINK_BOOKKEEPING,
-                self.link_free_at.contains_key(link),
-                || format!("{link} has busy-time but no occupancy record"),
-            );
-        }
+    }
+
+    /// Every link held so far, in link-id order.
+    fn sorted_links(&self) -> Vec<(LinkId, LinkState)> {
+        let mut links: Vec<(LinkId, LinkState)> =
+            self.links.iter().map(|(k, v)| (*k, *v)).collect();
+        links.sort_unstable_by_key(|&(l, _)| l);
+        links
     }
 
     /// Serializes the network's mutable state: link occupancy and busy
@@ -485,15 +470,18 @@ impl<T: Topology> Network<T> {
     /// stale across a snapshot), instruments, and the fault model's RNG
     /// streams and degradation windows. The tracer and its track cache
     /// are host-facing and not serialized.
+    ///
+    /// Free times and busy times go out as two lists over the same links,
+    /// and a hop-histogram slot repeats the traffic statistics' copy, so
+    /// snapshots written before the per-link state was merged still
+    /// restore.
     pub fn snapshot_state(&self, w: &mut ecoscale_sim::SnapWriter) {
         use ecoscale_sim::Snapshot as _;
-        let mut free: Vec<(LinkId, Time)> =
-            self.link_free_at.iter().map(|(k, v)| (*k, *v)).collect();
-        free.sort_unstable_by_key(|&(l, _)| l);
-        w.put_usize(free.len());
-        for (l, t) in free {
+        let links = self.sorted_links();
+        w.put_usize(links.len());
+        for (l, state) in &links {
             w.put_u64(l.0);
-            w.put_time(t);
+            w.put_time(state.free_at);
         }
         self.stats.snapshot_state(w);
         let mut memo: Vec<(NodeId, NodeId)> = self.route_memo.keys().copied().collect();
@@ -505,15 +493,12 @@ impl<T: Topology> Network<T> {
         }
         w.put_u64(self.route_memo_hits);
         w.put_u64(self.route_memo_misses);
-        self.hop_hist.snapshot(w);
+        self.stats.hops().snapshot(w);
         self.queue_ns.snapshot(w);
-        let mut busy: Vec<(LinkId, Duration)> =
-            self.link_busy.iter().map(|(k, v)| (*k, *v)).collect();
-        busy.sort_unstable_by_key(|&(l, _)| l);
-        w.put_usize(busy.len());
-        for (l, d) in busy {
+        w.put_usize(links.len());
+        for (l, state) in &links {
             w.put_u64(l.0);
-            w.put_duration(d);
+            w.put_duration(state.busy);
         }
         w.put_bool(self.faults.is_some());
         if let Some(f) = &self.faults {
@@ -543,8 +528,10 @@ impl<T: Topology> Network<T> {
     /// # Errors
     ///
     /// [`ecoscale_sim::RestoreError`] on truncated, unsorted, or
-    /// out-of-range data; `self` may be partially overwritten on error
-    /// and should be discarded.
+    /// out-of-range data, busy times for a different link set than the
+    /// free times, or a hop histogram that differs from the traffic
+    /// statistics' copy; `self` may be partially overwritten on error and
+    /// should be discarded.
     pub fn restore_state(
         &mut self,
         r: &mut ecoscale_sim::SnapReader<'_>,
@@ -558,16 +545,14 @@ impl<T: Topology> Network<T> {
                 r.remaining()
             )));
         }
-        self.link_free_at.clear();
-        let mut prev: Option<u64> = None;
+        let mut free: Vec<(u64, Time)> = Vec::with_capacity(n);
         for i in 0..n {
             let l = r.get_u64()?;
             let t = r.get_time()?;
-            if prev.is_some_and(|p| p >= l) {
+            if free.last().is_some_and(|&(p, _)| p >= l) {
                 return Err(malformed(format!("link-free map unsorted at index {i}")));
             }
-            prev = Some(l);
-            self.link_free_at.insert(LinkId(l), t);
+            free.push((l, t));
         }
         self.stats = TrafficStats::restore_state(r)?;
         let n = r.get_usize()?;
@@ -591,7 +576,11 @@ impl<T: Topology> Network<T> {
         }
         self.route_memo_hits = r.get_u64()?;
         self.route_memo_misses = r.get_u64()?;
-        self.hop_hist = Histogram::restore(r)?;
+        if Histogram::restore(r)? != *self.stats.hops() {
+            return Err(malformed(
+                "hop histogram differs from the traffic statistics' copy".to_owned(),
+            ));
+        }
         self.queue_ns = OnlineStats::restore(r)?;
         let n = r.get_usize()?;
         if n > r.remaining() {
@@ -600,16 +589,22 @@ impl<T: Topology> Network<T> {
                 r.remaining()
             )));
         }
-        self.link_busy.clear();
-        let mut prev: Option<u64> = None;
-        for i in 0..n {
-            let l = r.get_u64()?;
-            let d = r.get_duration()?;
-            if prev.is_some_and(|p| p >= l) {
-                return Err(malformed(format!("link-busy map unsorted at index {i}")));
+        if n != free.len() {
+            return Err(malformed(format!(
+                "network holds busy times for {n} links but free times for {}",
+                free.len()
+            )));
+        }
+        self.links.clear();
+        for (i, &(l, free_at)) in free.iter().enumerate() {
+            let busy_link = r.get_u64()?;
+            let busy = r.get_duration()?;
+            if busy_link != l {
+                return Err(malformed(format!(
+                    "busy time for link {busy_link} at index {i}, free time for link {l}"
+                )));
             }
-            prev = Some(l);
-            self.link_busy.insert(LinkId(l), d);
+            self.links.insert(LinkId(l), LinkState { free_at, busy });
         }
         self.faults = if r.get_bool()? {
             let degrade_clock = FaultClock::restore(r)?;
@@ -659,11 +654,9 @@ impl<T: Topology> Network<T> {
     /// routes. The tracer (if any) is kept but its per-link track cache
     /// is rebuilt lazily.
     pub fn reset(&mut self) {
-        self.link_free_at.clear();
+        self.links.clear();
         self.stats = TrafficStats::new();
-        self.hop_hist = Histogram::new();
         self.queue_ns = OnlineStats::new();
-        self.link_busy.clear();
         if let Some(f) = &mut self.faults {
             f.degraded.clear();
         }
@@ -794,7 +787,7 @@ mod tests {
                 _ => Duration::ZERO,
             })
             .fold(Duration::ZERO, |a, b| a + b);
-        let busy: Duration = n.link_busy.values().fold(Duration::ZERO, |a, b| a + *b);
+        let busy: Duration = n.links.values().fold(Duration::ZERO, |a, l| a + l.busy);
         assert_eq!(total, busy);
     }
 
@@ -954,6 +947,44 @@ mod tests {
                 "truncated stream at {cut} restored fully"
             );
         }
+    }
+
+    #[test]
+    fn restore_refuses_link_lists_or_hop_slot_that_disagree() {
+        use ecoscale_sim::Snapshot as _;
+        let orig = churned();
+        let mut w = ecoscale_sim::SnapWriter::new();
+        orig.snapshot_state(&mut w);
+        let bytes = w.into_bytes();
+        let refusal = |bytes: &[u8]| {
+            let mut n = net(false);
+            let err = n
+                .restore_state(&mut ecoscale_sim::SnapReader::new(bytes))
+                .expect_err("disagreeing slots restored");
+            err.to_string()
+        };
+
+        // the free-time list names a link the busy-time list does not
+        let links = orig.links.len();
+        let last_id = 8 + (links - 1) * 16;
+        let mut moved = bytes.clone();
+        moved[last_id..last_id + 8].copy_from_slice(&(u64::MAX - 1).to_le_bytes());
+        assert!(refusal(&moved).contains("busy time for link"));
+
+        // the hop-histogram slot differs from the traffic statistics' copy
+        let mut stats = ecoscale_sim::SnapWriter::new();
+        orig.stats.snapshot_state(&mut stats);
+        let hops_at = 8 + links * 16 + stats.len() + 8 + orig.route_memo.len() * 16 + 16;
+        let mut hops = ecoscale_sim::SnapWriter::new();
+        orig.stats.hops().snapshot(&mut hops);
+        let hops = hops.into_bytes();
+        assert_eq!(bytes[hops_at..hops_at + hops.len()], hops[..]);
+        let mut empty = ecoscale_sim::SnapWriter::new();
+        Histogram::new().snapshot(&mut empty);
+        let mut swapped = bytes[..hops_at].to_vec();
+        swapped.extend(empty.into_bytes());
+        swapped.extend(&bytes[hops_at + hops.len()..]);
+        assert!(refusal(&swapped).contains("hop histogram"));
     }
 
     #[test]

@@ -98,6 +98,11 @@ impl TrafficStats {
         self.hops.mean()
     }
 
+    /// The per-message hop-count histogram.
+    pub(crate) fn hops(&self) -> &Histogram {
+        &self.hops
+    }
+
     /// Maximum hops of any message.
     pub fn max_hops(&self) -> u64 {
         self.hops.max()

@@ -93,7 +93,8 @@ enum Ev {
     Arrive(usize),
     /// Worker finished its current task.
     Finish(usize),
-    /// Lazy only: an idle worker wakes to try stealing again.
+    /// An idle worker wakes to look for work again: a lazy steal retry,
+    /// or a stall clearing.
     Retry(usize),
     /// Centralized only: the dispatcher finished handing out a task.
     Dispatched {
@@ -102,12 +103,10 @@ enum Ev {
     },
 }
 
-/// Schedules `ev` at `at` under the next sequence key, so events at
-/// equal times are delivered in the order they were scheduled.
-fn push(q: &mut TimingWheel<Ev>, seq: &mut u64, at: Time, ev: Ev) {
-    q.schedule(at, *seq, ev);
-    *seq += 1;
-}
+/// Cost of one remote queue probe by an idle lazy worker.
+const PROBE_LATENCY: Duration = Duration::from_ns(300);
+/// Time the central dispatcher spends on one grant.
+const DISPATCH_LATENCY: Duration = Duration::from_ns(800);
 
 /// Simulates one Compute Node's workers executing a task trace.
 ///
@@ -134,8 +133,6 @@ pub struct ClusterSim {
     workers: usize,
     policy: SchedPolicy,
     cpu: CpuModel,
-    probe_latency: Duration,
-    dispatch_latency: Duration,
     rng: SimRng,
     ins: SchedInstruments,
     tracer: Tracer,
@@ -169,42 +166,6 @@ struct SchedInstruments {
     queue_depth: Histogram,
 }
 
-impl SchedInstruments {
-    /// Records one task execution: wait latency (arrival → start),
-    /// exec latency, migration (executed away from its data home), a
-    /// span on the executing worker's track, and — when the task waited
-    /// at all — a `wait` span on the shared wait track so ProfPlane can
-    /// blame scheduler queueing on the critical path.
-    #[allow(clippy::too_many_arguments)]
-    fn on_exec(
-        &mut self,
-        spec: &TaskSpec,
-        w: usize,
-        workers: usize,
-        start: Time,
-        d: Duration,
-        tracer: &Tracer,
-        tracks: &[TrackId],
-        wait_track: Option<TrackId>,
-    ) {
-        self.tasks.incr();
-        let waited = start.saturating_since(spec.arrival);
-        self.wait_ns.record(waited.as_ns_f64());
-        self.exec_ns.record(d.as_ns_f64());
-        if spec.task.data_home().0 % workers != w {
-            self.migrations.incr();
-        }
-        if let Some(&track) = tracks.get(w) {
-            tracer.complete(track, spec.task.function(), start, d);
-        }
-        if let Some(track) = wait_track {
-            if waited > Duration::ZERO {
-                tracer.complete(track, "wait", spec.arrival, waited);
-            }
-        }
-    }
-}
-
 impl ClusterSim {
     /// Creates a simulator for `workers` workers under `policy`.
     ///
@@ -217,8 +178,6 @@ impl ClusterSim {
             workers,
             policy,
             cpu: CpuModel::a53_default(),
-            probe_latency: Duration::from_ns(300),
-            dispatch_latency: Duration::from_ns(800),
             rng: SimRng::seed_from(seed),
             ins: SchedInstruments::default(),
             tracer: Tracer::disabled(),
@@ -306,529 +265,393 @@ impl ClusterSim {
     /// Runs the trace to completion and reports.
     pub fn run(&mut self, tasks: &[TaskSpec]) -> SchedReport {
         self.ins = SchedInstruments::default();
-        let tracks: Vec<TrackId> = if self.tracer.is_enabled() {
-            (0..self.workers)
-                .map(|w| self.tracer.track(&format!("{}/w{}", self.trace_label, w)))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let queue_track = if self.tracer.is_enabled() {
-            Some(self.tracer.track(&format!("{}/queued", self.trace_label)))
-        } else {
-            None
-        };
-        let wait_track = if self.tracer.is_enabled() {
-            Some(self.tracer.track(&format!("{}/wait", self.trace_label)))
-        } else {
-            None
-        };
-        let mut q: TimingWheel<Ev> = TimingWheel::new();
-        // Wheel key of the next `push`.
-        let mut seq = 0u64;
-        // The lazy scheduler's historical probe backoff, expressed as a
-        // resilience retry policy: 8x, 16x, then capped at 32x the probe
-        // latency — bit-identical to the old `(4 << min(k, 3))` ladder.
-        let steal_policy = RetryPolicy::new(
-            self.probe_latency * 8,
-            self.probe_latency * 32,
-            RetryPolicy::UNBOUNDED,
-        );
-        let mut steal_backoff: Vec<Backoff> = vec![Backoff::new(); self.workers];
-        let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); self.workers];
-        let mut central: VecDeque<usize> = VecDeque::new();
-        let mut busy: Vec<bool> = vec![false; self.workers];
-        let mut busy_time: Vec<Duration> = vec![Duration::ZERO; self.workers];
-        let mut dispatcher_free = Time::ZERO;
-        let mut overhead = Duration::ZERO;
-        let mut messages = 0u64;
-        let mut completed = 0usize;
-        // FaultPlane state. All of it is inert without a campaign:
-        // `retired` stays false, `stalled_until` stays ZERO, and the
-        // guards below reduce to the fault-free control flow.
-        let mut retired: Vec<bool> = vec![false; self.workers];
-        let mut down_since: Vec<Option<Time>> = vec![None; self.workers];
-        let mut stalled_until: Vec<Time> = vec![Time::ZERO; self.workers];
-        let mut stall_downtime: Vec<Duration> = vec![Duration::ZERO; self.workers];
-        let mut doomed: Vec<u32> = vec![0; self.workers];
-        let mut current: Vec<Option<usize>> = vec![None; self.workers];
-        let mut task_backoff: Vec<Backoff> = if self.faults.is_some() {
-            vec![Backoff::new(); tasks.len()]
-        } else {
-            Vec::new()
-        };
-        let mut lost = 0u64;
+        RunState::new(self, tasks).execute()
+    }
+}
 
+/// One worker's state during a [`ClusterSim::run`].
+#[derive(Debug, Clone, Default)]
+struct Worker {
+    /// Local queue (LazyLocal and RandomPush).
+    queue: VecDeque<usize>,
+    /// Executing, or reserved by a central grant until its delivery.
+    busy: bool,
+    busy_time: Duration,
+    /// The task executing now; taken by a crash, whose pending `Finish`
+    /// then finds it empty.
+    current: Option<usize>,
+    /// Crashed or quarantined: takes no new work.
+    retired: bool,
+    down_since: Option<Time>,
+    stalled_until: Time,
+    stall_downtime: Duration,
+    steal_backoff: Backoff,
+}
+
+/// The mutable state of one [`ClusterSim::run`]. Its methods are the
+/// only places where a task is enqueued ([`RunState::enqueue`]), started
+/// on a worker ([`RunState::start`]), granted by the central dispatcher
+/// ([`RunState::grant`]), stolen ([`RunState::steal`]) or re-homed after
+/// a worker fault ([`RunState::rehome`]). Each [`SchedPolicy`] is one
+/// choice on arrival ([`RunState::on_arrive`]) and one when a worker
+/// idles ([`RunState::on_idle`]).
+///
+/// The FaultPlane state is inert without a campaign: no worker retires
+/// or stalls, and the fault guards reduce to the fault-free control flow.
+struct RunState<'a> {
+    sim: &'a mut ClusterSim,
+    tasks: &'a [TaskSpec],
+    q: TimingWheel<Ev>,
+    /// Wheel key of the next [`RunState::push`].
+    seq: u64,
+    workers: Vec<Worker>,
+    central: VecDeque<usize>,
+    /// When the central dispatcher finishes its latest grant.
+    dispatcher_free: Time,
+    /// Bounded-retry state per task; empty without a fault campaign.
+    task_backoff: Vec<Backoff>,
+    /// The lazy scheduler's historical probe backoff, expressed as a
+    /// resilience retry policy: 8x, 16x, then capped at 32x the probe
+    /// latency — bit-identical to the old `(4 << min(k, 3))` ladder.
+    steal_policy: RetryPolicy,
+    overhead: Duration,
+    messages: u64,
+    completed: u64,
+    lost: u64,
+    tracks: Vec<TrackId>,
+    queue_track: Option<TrackId>,
+    wait_track: Option<TrackId>,
+}
+
+impl<'a> RunState<'a> {
+    /// Opens the trace tracks and schedules every arrival, plus the lazy
+    /// workers' first polls.
+    fn new(sim: &'a mut ClusterSim, tasks: &'a [TaskSpec]) -> RunState<'a> {
+        let n = sim.workers;
+        let (tracks, queue_track, wait_track) = if sim.tracer.is_enabled() {
+            let (tracer, label) = (&sim.tracer, &sim.trace_label);
+            (
+                (0..n)
+                    .map(|w| tracer.track(&format!("{label}/w{w}")))
+                    .collect(),
+                Some(tracer.track(&format!("{label}/queued"))),
+                Some(tracer.track(&format!("{label}/wait"))),
+            )
+        } else {
+            (Vec::new(), None, None)
+        };
+        let mut run = RunState {
+            q: TimingWheel::new(),
+            seq: 0,
+            workers: vec![Worker::default(); n],
+            central: VecDeque::new(),
+            dispatcher_free: Time::ZERO,
+            task_backoff: if sim.faults.is_some() {
+                vec![Backoff::new(); tasks.len()]
+            } else {
+                Vec::new()
+            },
+            steal_policy: RetryPolicy::new(
+                PROBE_LATENCY * 8,
+                PROBE_LATENCY * 32,
+                RetryPolicy::UNBOUNDED,
+            ),
+            overhead: Duration::ZERO,
+            messages: 0,
+            completed: 0,
+            lost: 0,
+            tracks,
+            queue_track,
+            wait_track,
+            sim,
+            tasks,
+        };
         for (i, t) in tasks.iter().enumerate() {
-            push(&mut q, &mut seq, t.arrival, Ev::Arrive(i));
+            run.push(t.arrival, Ev::Arrive(i));
         }
         // Lazy workers poll from the start: without an initial wake-up, a
         // worker that never receives an arrival would never steal.
-        if let SchedPolicy::LazyLocal { .. } = self.policy {
+        if let SchedPolicy::LazyLocal { .. } = run.sim.policy {
             if let Some(first) = tasks.iter().map(|t| t.arrival).min() {
-                for w in 0..self.workers {
-                    push(&mut q, &mut seq, first, Ev::Retry(w));
+                for w in 0..n {
+                    run.push(first, Ev::Retry(w));
                 }
             }
         }
+        run
+    }
 
-        // Helper: execution time of a task on the CPU model.
-        let exec_time = |task: &Task, cpu: &CpuModel| cpu.exec(task.flops(), task.mem_ops()).0;
+    /// Schedules `ev` at `at` under the next sequence key, so events at
+    /// equal times are delivered in the order they were scheduled.
+    fn push(&mut self, at: Time, ev: Ev) {
+        self.q.schedule(at, self.seq, ev);
+        self.seq += 1;
+    }
 
-        while let Some((now, _, ev)) = q.pop() {
+    /// Runs the event loop until the wheel drains, then reports.
+    fn execute(mut self) -> SchedReport {
+        while let Some((now, _, ev)) = self.q.pop() {
             // CheckPlane cadence gate: read-only duplicate-task scan over
             // every queue and execution slot. One branch when disabled.
-            if self.check.due() {
-                Self::check_no_duplicates(&mut self.check, &queues, &central, &current);
+            if self.sim.check.due() {
+                self.check_no_duplicates();
             }
-            // Drain fault arrivals up to the current instant, in time
-            // order across both clocks.
-            while let Some(f) = self.faults.as_mut() {
-                let crash_at = f.crash_clock.peek().filter(|&t| t <= now);
-                let stall_at = f.stall_clock.peek().filter(|&t| t <= now);
-                let (at, is_crash) = match (crash_at, stall_at) {
-                    (Some(c), Some(s)) if c <= s => (f.crash_clock.pop_due(now), true),
-                    (Some(_), Some(_)) => (f.stall_clock.pop_due(now), false),
-                    (Some(_), None) => (f.crash_clock.pop_due(now), true),
-                    (None, Some(_)) => (f.stall_clock.pop_due(now), false),
-                    (None, None) => break,
-                };
-                let at = at.expect("peeked arrival is due");
-                let in_service: Vec<usize> = (0..self.workers).filter(|&w| !retired[w]).collect();
-                let Some(&v) = in_service
-                    .get(f.pick.gen_range_usize(0, in_service.len().max(1)))
-                    .filter(|_| !in_service.is_empty())
-                else {
-                    continue; // machine already fully down
-                };
-                if is_crash {
-                    // Hard fault: the worker dies with its queue, and
-                    // any in-flight task fails with it.
-                    f.mgr.record_failure(Domain::Worker(v), at);
-                    retired[v] = true;
-                    down_since[v] = Some(at);
-                    let orphans: Vec<usize> = queues[v].drain(..).collect();
-                    let inflight = current[v].take();
-                    if inflight.is_some() {
-                        doomed[v] += 1; // swallow the pending Finish
-                    }
-                    for t in orphans.into_iter().chain(inflight) {
-                        Self::rehome(
-                            t,
-                            at,
-                            now,
-                            &mut f.mgr,
-                            &mut task_backoff,
-                            &mut q,
-                            &mut seq,
-                            &mut lost,
-                        );
-                    }
-                } else {
-                    // Transient stall: no new work until it clears.
-                    stalled_until[v] = stalled_until[v].max(at + f.stall_for);
-                    stall_downtime[v] += f.stall_for;
-                    if f.mgr.record_failure(Domain::Worker(v), at) {
-                        // Persistent offender: quarantine. Unlike a
-                        // crash this is graceful — the queue is drained
-                        // for re-homing and in-flight work completes.
-                        retired[v] = true;
-                        down_since[v] = Some(at);
-                        let orphans: Vec<usize> = queues[v].drain(..).collect();
-                        for t in orphans {
-                            Self::rehome(
-                                t,
-                                at,
-                                now,
-                                &mut f.mgr,
-                                &mut task_backoff,
-                                &mut q,
-                                &mut seq,
-                                &mut lost,
-                            );
-                        }
-                    }
-                }
-            }
+            self.inject_faults(now);
             match ev {
-                Ev::Arrive(idx) => {
-                    let home = tasks[idx].task.data_home().0 % self.workers;
-                    match self.policy {
-                        SchedPolicy::LazyLocal { .. } => {
-                            // A dead home re-routes to the next worker
-                            // still in service, or the task is lost.
-                            let Some(home) = Self::next_in_service(home, &retired) else {
-                                lost += 1;
-                                if let Some(f) = self.faults.as_mut() {
-                                    f.mgr.note_lost();
-                                }
-                                continue;
-                            };
-                            queues[home].push_back(idx);
-                            self.ins.queue_depth.record(queues[home].len() as u64);
-                            if let Some(t) = queue_track {
-                                self.tracer
-                                    .counter(t, "queued", now, queues[home].len() as f64);
-                            }
-                            if !busy[home] {
-                                if now < stalled_until[home] {
-                                    push(&mut q, &mut seq, stalled_until[home], Ev::Retry(home));
-                                } else {
-                                    Self::start(
-                                        home,
-                                        &mut queues,
-                                        &mut busy,
-                                        &mut busy_time,
-                                        &mut current,
-                                        &mut q,
-                                        &mut seq,
-                                        now,
-                                        tasks,
-                                        &self.cpu,
-                                        exec_time,
-                                        &mut self.ins,
-                                        &self.tracer,
-                                        &tracks,
-                                        wait_track,
-                                    );
-                                }
-                            }
-                        }
-                        SchedPolicy::RandomPush => {
-                            let w = self.rng.gen_range_usize(0, self.workers);
-                            messages += 1;
-                            let Some(w) = Self::next_in_service(w, &retired) else {
-                                lost += 1;
-                                if let Some(f) = self.faults.as_mut() {
-                                    f.mgr.note_lost();
-                                }
-                                continue;
-                            };
-                            queues[w].push_back(idx);
-                            self.ins.queue_depth.record(queues[w].len() as u64);
-                            if let Some(t) = queue_track {
-                                self.tracer
-                                    .counter(t, "queued", now, queues[w].len() as f64);
-                            }
-                            if !busy[w] {
-                                if now < stalled_until[w] {
-                                    push(&mut q, &mut seq, stalled_until[w], Ev::Retry(w));
-                                } else {
-                                    Self::start(
-                                        w,
-                                        &mut queues,
-                                        &mut busy,
-                                        &mut busy_time,
-                                        &mut current,
-                                        &mut q,
-                                        &mut seq,
-                                        now,
-                                        tasks,
-                                        &self.cpu,
-                                        exec_time,
-                                        &mut self.ins,
-                                        &self.tracer,
-                                        &tracks,
-                                        wait_track,
-                                    );
-                                }
-                            }
-                        }
-                        SchedPolicy::Centralized => {
-                            central.push_back(idx);
-                            self.ins.queue_depth.record(central.len() as u64);
-                            if let Some(t) = queue_track {
-                                self.tracer.counter(t, "queued", now, central.len() as f64);
-                            }
-                            // try to dispatch to an idle worker
-                            if let Some(w) = (0..self.workers)
-                                .find(|&w| !busy[w] && !retired[w] && now >= stalled_until[w])
-                            {
-                                if let Some(t) = central.pop_front() {
-                                    busy[w] = true; // reserved while dispatching
-                                    let start = dispatcher_free.max(now);
-                                    let done = start + self.dispatch_latency;
-                                    overhead += done - now;
-                                    dispatcher_free = done;
-                                    messages += 2; // request + grant
-                                    push(
-                                        &mut q,
-                                        &mut seq,
-                                        done,
-                                        Ev::Dispatched { worker: w, task: t },
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
+                Ev::Arrive(task) => self.on_arrive(task, now),
                 Ev::Dispatched { worker, task } => {
-                    if retired[worker] {
+                    if self.workers[worker].retired {
                         // The worker died between grant and delivery:
                         // the dispatch fails and the task is recovered.
-                        let f = self.faults.as_mut().expect("retired implies faults");
-                        Self::rehome(
-                            task,
-                            now,
-                            now,
-                            &mut f.mgr,
-                            &mut task_backoff,
-                            &mut q,
-                            &mut seq,
-                            &mut lost,
-                        );
-                        continue;
-                    }
-                    let d = exec_time(&tasks[task].task, &self.cpu);
-                    busy_time[worker] += d;
-                    current[worker] = Some(task);
-                    self.ins.on_exec(
-                        &tasks[task],
-                        worker,
-                        self.workers,
-                        now,
-                        d,
-                        &self.tracer,
-                        &tracks,
-                        wait_track,
-                    );
-                    push(&mut q, &mut seq, now + d, Ev::Finish(worker));
-                }
-                Ev::Finish(w) | Ev::Retry(w) => {
-                    if matches!(ev, Ev::Finish(_)) {
-                        if doomed[w] > 0 {
-                            // the worker crashed mid-execution; the task
-                            // already went through recovery
-                            doomed[w] -= 1;
-                            continue;
-                        }
-                        completed += 1;
-                        current[w] = None;
-                    }
-                    if retired[w] {
-                        continue; // crashed or quarantined: no new work
-                    }
-                    if matches!(ev, Ev::Retry(_)) && busy[w] {
-                        continue; // stale poll: the worker found work meanwhile
-                    }
-                    busy[w] = false;
-                    if now < stalled_until[w] {
-                        // stalled: wake again once the stall clears
-                        push(&mut q, &mut seq, stalled_until[w], Ev::Retry(w));
-                        continue;
-                    }
-                    match self.policy {
-                        SchedPolicy::Centralized => {
-                            if let Some(t) = central.pop_front() {
-                                busy[w] = true;
-                                let start = dispatcher_free.max(now);
-                                let done = start + self.dispatch_latency;
-                                overhead += done - now;
-                                dispatcher_free = done;
-                                messages += 2;
-                                push(
-                                    &mut q,
-                                    &mut seq,
-                                    done,
-                                    Ev::Dispatched { worker: w, task: t },
-                                );
-                            }
-                        }
-                        SchedPolicy::RandomPush => {
-                            if !queues[w].is_empty() {
-                                Self::start(
-                                    w,
-                                    &mut queues,
-                                    &mut busy,
-                                    &mut busy_time,
-                                    &mut current,
-                                    &mut q,
-                                    &mut seq,
-                                    now,
-                                    tasks,
-                                    &self.cpu,
-                                    exec_time,
-                                    &mut self.ins,
-                                    &self.tracer,
-                                    &tracks,
-                                    wait_track,
-                                );
-                            }
-                        }
-                        SchedPolicy::LazyLocal { probes } => {
-                            if !queues[w].is_empty() {
-                                Self::start(
-                                    w,
-                                    &mut queues,
-                                    &mut busy,
-                                    &mut busy_time,
-                                    &mut current,
-                                    &mut q,
-                                    &mut seq,
-                                    now,
-                                    tasks,
-                                    &self.cpu,
-                                    exec_time,
-                                    &mut self.ins,
-                                    &self.tracer,
-                                    &tracks,
-                                    wait_track,
-                                );
-                            } else {
-                                // steal: probe random victims and take
-                                // half of the richest victim's queue (the
-                                // classic steal-half heuristic)
-                                let mut victim = None;
-                                let mut probe_cost = Duration::ZERO;
-                                for _ in 0..probes {
-                                    let v = self.rng.gen_range_usize(0, self.workers);
-                                    probe_cost += self.probe_latency;
-                                    messages += 1;
-                                    self.ins.probes.incr();
-                                    if v != w && queues[v].len() > 1 {
-                                        victim = Some(v);
-                                        break;
-                                    }
-                                }
-                                overhead += probe_cost;
-                                if let Some(v) = victim {
-                                    steal_backoff[w].reset();
-                                    self.ins.steals.incr();
-                                    let keep = queues[v].len() / 2;
-                                    let mut taken = queues[v].split_off(keep);
-                                    let first = taken.pop_front().expect("len > 1");
-                                    queues[w].extend(taken);
-                                    let d = exec_time(&tasks[first].task, &self.cpu);
-                                    busy[w] = true;
-                                    busy_time[w] += d;
-                                    current[w] = Some(first);
-                                    self.ins.on_exec(
-                                        &tasks[first],
-                                        w,
-                                        self.workers,
-                                        now + probe_cost,
-                                        d,
-                                        &self.tracer,
-                                        &tracks,
-                                        wait_track,
-                                    );
-                                    push(&mut q, &mut seq, now + probe_cost + d, Ev::Finish(w));
-                                }
-                                // if nothing stolen the worker idles until
-                                // a new arrival lands in its queue; to keep
-                                // it live, retry with exponential backoff
-                                // while others still hold work
-                                else if queues.iter().any(|qq| qq.len() > 1)
-                                    || (completed + Self::in_flight(&busy) < tasks.len()
-                                        && queues.iter().any(|qq| !qq.is_empty()))
-                                {
-                                    // bounded backoff: stay responsive
-                                    // (hot queues refill constantly) while
-                                    // capping the probe storm
-                                    let wait = steal_backoff[w]
-                                        .next(&steal_policy)
-                                        .expect("steal retry is unbounded");
-                                    push(&mut q, &mut seq, now + probe_cost + wait, Ev::Retry(w));
-                                }
-                            }
-                        }
+                        self.rehome(task, now, now);
+                    } else {
+                        self.start(worker, task, now);
                     }
                 }
+                Ev::Finish(w) => {
+                    // Empty when the worker crashed mid-execution: the
+                    // task already went through recovery.
+                    if self.workers[w].current.take().is_some() {
+                        self.completed += 1;
+                        self.on_idle(w, now, false);
+                    }
+                }
+                Ev::Retry(w) => self.on_idle(w, now, true),
             }
         }
+        self.report()
+    }
 
-        // Work still queued when the event stream dries up — possible
-        // only once every worker has died — is lost.
-        if let Some(f) = self.faults.as_mut() {
-            let leftover: u64 =
-                queues.iter().map(|qq| qq.len() as u64).sum::<u64>() + central.len() as u64;
-            if leftover > 0 {
-                lost += leftover;
-                for _ in 0..leftover {
-                    f.mgr.note_lost();
-                }
+    /// A task arrives: the policy chooses where it queues.
+    fn on_arrive(&mut self, task: usize, now: Time) {
+        let n = self.workers.len();
+        let target = match self.sim.policy {
+            SchedPolicy::LazyLocal { .. } => self.tasks[task].task.data_home().0 % n,
+            SchedPolicy::RandomPush => {
+                self.messages += 1;
+                self.sim.rng.gen_range_usize(0, n)
             }
-        }
-
-        if self.check.is_enabled() {
-            Self::check_no_duplicates(&mut self.check, &queues, &central, &current);
-            self.check.check(
-                invariant::SCHED_TASK_CONSERVATION,
-                completed as u64 + lost == tasks.len() as u64,
-                || {
-                    format!(
-                        "completed {completed} + lost {lost} != submitted {}",
-                        tasks.len()
-                    )
-                },
-            );
-        }
-
-        let makespan = q.now();
-        let span = makespan.saturating_since(Time::ZERO);
-        let utils: Vec<f64> = busy_time
-            .iter()
-            .map(|b| if span.is_zero() { 0.0 } else { *b / span })
-            .collect();
-        let mean = utils.iter().sum::<f64>() / utils.len() as f64;
-        let max = utils.iter().cloned().fold(0.0, f64::max);
-        let var = utils.iter().map(|u| (u - mean) * (u - mean)).sum::<f64>() / utils.len() as f64;
-        let imbalance = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
-        let availability = if self.faults.is_some() && !span.is_zero() {
-            let mut down = Duration::ZERO;
-            for (stalled, since) in stall_downtime.iter().zip(&down_since) {
-                let mut d = *stalled;
-                if let Some(t0) = *since {
-                    d += makespan.saturating_since(t0);
+            SchedPolicy::Centralized => {
+                self.enqueue(None, task, now);
+                let idle = (0..n).find(|&w| {
+                    let wk = &self.workers[w];
+                    !wk.busy && !wk.retired && now >= wk.stalled_until
+                });
+                if let Some(w) = idle {
+                    self.grant(w, now);
                 }
-                down += d.min(span);
+                return;
             }
-            (1.0 - down / (span * self.workers as u64)).max(0.0)
-        } else {
-            1.0
         };
-        SchedReport {
-            makespan,
-            sched_overhead: overhead,
-            messages,
-            max_utilization: max,
-            mean_utilization: mean,
-            imbalance,
-            completed: completed as u64,
-            lost,
-            availability,
+        // A dead target re-routes to the next worker still in service,
+        // or the task is lost.
+        let Some(w) = (0..n)
+            .map(|k| (target + k) % n)
+            .find(|&w| !self.workers[w].retired)
+        else {
+            self.lose(1);
+            return;
+        };
+        self.enqueue(Some(w), task, now);
+        let (busy, stalled_until) = (self.workers[w].busy, self.workers[w].stalled_until);
+        if !busy {
+            if now < stalled_until {
+                self.push(stalled_until, Ev::Retry(w));
+            } else {
+                self.start_next(w, now);
+            }
         }
     }
 
-    fn in_flight(busy: &[bool]) -> usize {
-        busy.iter().filter(|b| **b).count()
-    }
-
-    /// Read-only scan asserting no task index appears twice across worker
-    /// queues, the central queue and in-flight execution slots.
-    fn check_no_duplicates(
-        cp: &mut CheckPlane,
-        queues: &[VecDeque<usize>],
-        central: &VecDeque<usize>,
-        current: &[Option<usize>],
-    ) {
-        let mut seen: HashSet<usize> = HashSet::new();
-        let all = queues
-            .iter()
-            .flatten()
-            .chain(central.iter())
-            .chain(current.iter().flatten());
-        for &t in all {
-            cp.check(invariant::SCHED_NO_DUPLICATE_TASKS, seen.insert(t), || {
-                format!("task {t} queued or running twice")
-            });
+    /// Worker `w` finished a task, or woke for a `poll`: unless it is out
+    /// of service, stalled or (for a stale poll) already busy again, the
+    /// policy chooses what it runs next.
+    fn on_idle(&mut self, w: usize, now: Time, poll: bool) {
+        let wk = &mut self.workers[w];
+        if wk.retired || (poll && wk.busy) {
+            return;
+        }
+        wk.busy = false;
+        if now < wk.stalled_until {
+            // stalled: wake again once the stall clears
+            let until = wk.stalled_until;
+            self.push(until, Ev::Retry(w));
+            return;
+        }
+        match self.sim.policy {
+            SchedPolicy::Centralized => self.grant(w, now),
+            SchedPolicy::LazyLocal { probes } if self.workers[w].queue.is_empty() => {
+                self.steal(w, now, probes)
+            }
+            SchedPolicy::LazyLocal { .. } | SchedPolicy::RandomPush => self.start_next(w, now),
         }
     }
 
-    /// First worker at or after `start` (wrapping) still in service.
-    fn next_in_service(start: usize, retired: &[bool]) -> Option<usize> {
-        let n = retired.len();
-        (0..n).map(|k| (start + k) % n).find(|&w| !retired[w])
+    /// Queues `task` on worker `w`'s local queue, or on the central queue
+    /// for `None`, and samples the queue depth.
+    fn enqueue(&mut self, w: Option<usize>, task: usize, now: Time) {
+        let queue = match w {
+            Some(w) => &mut self.workers[w].queue,
+            None => &mut self.central,
+        };
+        queue.push_back(task);
+        let depth = queue.len();
+        self.sim.ins.queue_depth.record(depth as u64);
+        if let Some(t) = self.queue_track {
+            self.sim.tracer.counter(t, "queued", now, depth as f64);
+        }
+    }
+
+    /// Starts the head of worker `w`'s local queue, if any.
+    fn start_next(&mut self, w: usize, now: Time) {
+        if let Some(task) = self.workers[w].queue.pop_front() {
+            self.start(w, task, now);
+        }
+    }
+
+    /// Worker `w` starts executing `task` at `at`. Records the wait
+    /// latency (arrival → start), the exec latency, a migration (executed
+    /// away from its data home), a span on the worker's track, and — when
+    /// the task waited at all — a `wait` span on the shared wait track so
+    /// ProfPlane can blame scheduler queueing on the critical path.
+    fn start(&mut self, w: usize, task: usize, at: Time) {
+        let tasks = self.tasks;
+        let spec = &tasks[task];
+        let d = self.sim.cpu.exec(spec.task.flops(), spec.task.mem_ops()).0;
+        let wk = &mut self.workers[w];
+        wk.busy = true;
+        wk.busy_time += d;
+        wk.current = Some(task);
+        let ins = &mut self.sim.ins;
+        ins.tasks.incr();
+        let waited = at.saturating_since(spec.arrival);
+        ins.wait_ns.record(waited.as_ns_f64());
+        ins.exec_ns.record(d.as_ns_f64());
+        if spec.task.data_home().0 % self.workers.len() != w {
+            ins.migrations.incr();
+        }
+        if let Some(&track) = self.tracks.get(w) {
+            self.sim.tracer.complete(track, spec.task.function(), at, d);
+        }
+        if let Some(track) = self.wait_track {
+            if waited > Duration::ZERO {
+                self.sim
+                    .tracer
+                    .complete(track, "wait", spec.arrival, waited);
+            }
+        }
+        self.push(at + d, Ev::Finish(w));
+    }
+
+    /// The central dispatcher grants the head of the central queue to
+    /// worker `w`, which stays reserved until delivery. Grants serialize
+    /// through the dispatcher.
+    fn grant(&mut self, w: usize, now: Time) {
+        if let Some(task) = self.central.pop_front() {
+            self.workers[w].busy = true;
+            let done = self.dispatcher_free.max(now) + DISPATCH_LATENCY;
+            self.overhead += done - now;
+            self.dispatcher_free = done;
+            self.messages += 2; // request + grant
+            self.push(done, Ev::Dispatched { worker: w, task });
+        }
+    }
+
+    /// Idle worker `w` probes up to `probes` random victims and takes
+    /// half of the first queue holding more than one task (the classic
+    /// steal-half heuristic), starting the first stolen task once the
+    /// probes return. With nothing stolen it polls again with bounded
+    /// backoff while others still hold work: responsive (hot queues
+    /// refill constantly) without a probe storm.
+    fn steal(&mut self, w: usize, now: Time, probes: u32) {
+        let n = self.workers.len();
+        let mut victim = None;
+        let mut probe_cost = Duration::ZERO;
+        for _ in 0..probes {
+            let v = self.sim.rng.gen_range_usize(0, n);
+            probe_cost += PROBE_LATENCY;
+            self.messages += 1;
+            self.sim.ins.probes.incr();
+            if v != w && self.workers[v].queue.len() > 1 {
+                victim = Some(v);
+                break;
+            }
+        }
+        self.overhead += probe_cost;
+        let at = now + probe_cost;
+        if let Some(v) = victim {
+            self.workers[w].steal_backoff.reset();
+            self.sim.ins.steals.incr();
+            let queue = &mut self.workers[v].queue;
+            let mut taken = queue.split_off(queue.len() / 2);
+            let first = taken.pop_front().expect("len > 1");
+            self.workers[w].queue.extend(taken);
+            self.start(w, first, at);
+        } else if self.workers.iter().any(|wk| wk.queue.len() > 1)
+            || (self.completed + (self.workers.iter().filter(|wk| wk.busy).count() as u64)
+                < self.tasks.len() as u64
+                && self.workers.iter().any(|wk| !wk.queue.is_empty()))
+        {
+            let wait = self.workers[w]
+                .steal_backoff
+                .next(&self.steal_policy)
+                .expect("steal retry is unbounded");
+            self.push(at + wait, Ev::Retry(w));
+        }
+    }
+
+    /// Drains fault arrivals up to `now`, in time order across the crash
+    /// and stall clocks.
+    fn inject_faults(&mut self, now: Time) {
+        while let Some(f) = self.sim.faults.as_mut() {
+            let crash_at = f.crash_clock.peek().filter(|&t| t <= now);
+            let stall_at = f.stall_clock.peek().filter(|&t| t <= now);
+            let (at, is_crash) = match (crash_at, stall_at) {
+                (Some(c), Some(s)) if c <= s => (f.crash_clock.pop_due(now), true),
+                (Some(_), Some(_)) => (f.stall_clock.pop_due(now), false),
+                (Some(_), None) => (f.crash_clock.pop_due(now), true),
+                (None, Some(_)) => (f.stall_clock.pop_due(now), false),
+                (None, None) => return,
+            };
+            let at = at.expect("peeked arrival is due");
+            let in_service: Vec<usize> = (0..self.workers.len())
+                .filter(|&w| !self.workers[w].retired)
+                .collect();
+            let Some(&v) = in_service.get(f.pick.gen_range_usize(0, in_service.len().max(1)))
+            else {
+                continue; // machine already fully down
+            };
+            let retire = if is_crash {
+                // Hard fault: the worker dies with its queue, and any
+                // in-flight task fails with it.
+                f.mgr.record_failure(Domain::Worker(v), at);
+                true
+            } else {
+                // Transient stall: no new work until it clears. A
+                // persistent offender is quarantined.
+                let wk = &mut self.workers[v];
+                wk.stalled_until = wk.stalled_until.max(at + f.stall_for);
+                wk.stall_downtime += f.stall_for;
+                f.mgr.record_failure(Domain::Worker(v), at)
+            };
+            if retire {
+                self.retire(v, at, now, is_crash);
+            }
+        }
+    }
+
+    /// Takes worker `v` out of service at `at` and re-homes its queue.
+    /// A crash also fails the task in flight; a quarantine is graceful
+    /// and lets it complete.
+    fn retire(&mut self, v: usize, at: Time, now: Time, crash: bool) {
+        let wk = &mut self.workers[v];
+        wk.retired = true;
+        wk.down_since = Some(at);
+        let inflight = if crash { wk.current.take() } else { None };
+        let orphans: Vec<usize> = wk.queue.drain(..).chain(inflight).collect();
+        for task in orphans {
+            self.rehome(task, at, now);
+        }
     }
 
     /// Recovers a task orphaned by a worker fault at `at`: re-injects
@@ -836,66 +659,106 @@ impl ClusterSim {
     /// before `now` — the fault may predate the event being handled),
     /// or counts it lost once the budget (or the whole retry
     /// mechanism) is absent.
-    #[allow(clippy::too_many_arguments)]
-    fn rehome(
-        task: usize,
-        at: Time,
-        now: Time,
-        mgr: &mut ResilienceManager,
-        task_backoff: &mut [Backoff],
-        q: &mut TimingWheel<Ev>,
-        seq: &mut u64,
-        lost: &mut u64,
-    ) {
-        let policy = mgr.config().retry;
-        match policy.and_then(|p| task_backoff[task].next(&p)) {
+    fn rehome(&mut self, task: usize, at: Time, now: Time) {
+        let mgr = &mut self.sim.faults.as_mut().expect("only faults orphan").mgr;
+        match mgr
+            .config()
+            .retry
+            .and_then(|p| self.task_backoff[task].next(&p))
+        {
             Some(delay) => {
                 let fire = (at + delay).max(now);
                 mgr.note_retry();
                 mgr.note_recovery(fire.since(at));
-                push(q, seq, fire, Ev::Arrive(task));
+                self.push(fire, Ev::Arrive(task));
             }
-            None => {
-                mgr.note_lost();
-                *lost += 1;
+            None => self.lose(1),
+        }
+    }
+
+    /// Counts `n` tasks lost to faults.
+    fn lose(&mut self, n: u64) {
+        self.lost += n;
+        if let Some(f) = self.sim.faults.as_mut() {
+            for _ in 0..n {
+                f.mgr.note_lost();
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn start(
-        w: usize,
-        queues: &mut [VecDeque<usize>],
-        busy: &mut [bool],
-        busy_time: &mut [Duration],
-        current: &mut [Option<usize>],
-        q: &mut TimingWheel<Ev>,
-        seq: &mut u64,
-        now: Time,
-        tasks: &[TaskSpec],
-        cpu: &CpuModel,
-        exec_time: impl Fn(&Task, &CpuModel) -> Duration,
-        ins: &mut SchedInstruments,
-        tracer: &Tracer,
-        tracks: &[TrackId],
-        wait_track: Option<TrackId>,
-    ) {
-        if let Some(t) = queues[w].pop_front() {
-            let d = exec_time(&tasks[t].task, cpu);
-            busy[w] = true;
-            busy_time[w] += d;
-            current[w] = Some(t);
-            ins.on_exec(
-                &tasks[t],
-                w,
-                queues.len(),
-                now,
-                d,
-                tracer,
-                tracks,
-                wait_track,
+    /// Read-only scan asserting no task index appears twice across worker
+    /// queues, the central queue and in-flight execution slots.
+    fn check_no_duplicates(&mut self) {
+        let mut seen: HashSet<usize> = HashSet::new();
+        let queued = self.workers.iter().flat_map(|wk| &wk.queue);
+        let running = self.workers.iter().filter_map(|wk| wk.current.as_ref());
+        for &t in queued.chain(&self.central).chain(running) {
+            self.sim
+                .check
+                .check(invariant::SCHED_NO_DUPLICATE_TASKS, seen.insert(t), || {
+                    format!("task {t} queued or running twice")
+                });
+        }
+    }
+
+    /// Counts work still queued when the event stream dried up — possible
+    /// only once every worker has died — as lost, runs the end-of-run
+    /// checks, and reports.
+    fn report(mut self) -> SchedReport {
+        if self.sim.faults.is_some() {
+            let queued = self.workers.iter().map(|wk| wk.queue.len()).sum::<usize>();
+            self.lose((queued + self.central.len()) as u64);
+        }
+        if self.sim.check.is_enabled() {
+            self.check_no_duplicates();
+            let (completed, lost, submitted) = (self.completed, self.lost, self.tasks.len());
+            self.sim.check.check(
+                invariant::SCHED_TASK_CONSERVATION,
+                completed + lost == submitted as u64,
+                || format!("completed {completed} + lost {lost} != submitted {submitted}"),
             );
-            push(q, seq, now + d, Ev::Finish(w));
+        }
+
+        let makespan = self.q.now();
+        let span = makespan.saturating_since(Time::ZERO);
+        let utils: Vec<f64> = self
+            .workers
+            .iter()
+            .map(|wk| {
+                if span.is_zero() {
+                    0.0
+                } else {
+                    wk.busy_time / span
+                }
+            })
+            .collect();
+        let mean = utils.iter().sum::<f64>() / utils.len() as f64;
+        let max = utils.iter().cloned().fold(0.0, f64::max);
+        let var = utils.iter().map(|u| (u - mean) * (u - mean)).sum::<f64>() / utils.len() as f64;
+        let imbalance = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
+        let availability = if self.sim.faults.is_some() && !span.is_zero() {
+            let mut down = Duration::ZERO;
+            for wk in &self.workers {
+                let mut d = wk.stall_downtime;
+                if let Some(t0) = wk.down_since {
+                    d += makespan.saturating_since(t0);
+                }
+                down += d.min(span);
+            }
+            (1.0 - down / (span * self.workers.len() as u64)).max(0.0)
+        } else {
+            1.0
+        };
+        SchedReport {
+            makespan,
+            sched_overhead: self.overhead,
+            messages: self.messages,
+            max_utilization: max,
+            mean_utilization: mean,
+            imbalance,
+            completed: self.completed,
+            lost: self.lost,
+            availability,
         }
     }
 }

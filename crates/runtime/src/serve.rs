@@ -901,10 +901,15 @@ impl ServePlane {
     ///
     /// # Panics
     ///
-    /// Panics if `mix_len` or `ids` is empty.
+    /// Panics if `mix_len` or `ids` is empty, or if `ids` is not strictly
+    /// ascending (completions find a request's tenant by binary search).
     pub fn for_tenants(spec: &ServeSpec, mix_len: usize, ids: &[u32]) -> ServePlane {
         assert!(mix_len > 0, "serving needs a non-empty kernel mix");
         assert!(!ids.is_empty(), "serving needs at least one tenant");
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "tenant ids must be strictly ascending"
+        );
         ServePlane {
             spec: spec.clone(),
             mix_len: mix_len as u32,
@@ -1068,16 +1073,21 @@ impl ServePlane {
         Some(Batch { kernel, requests })
     }
 
+    /// The slot of hosted tenant `id`; slots are in ascending id order.
+    fn hosted_mut(&mut self, id: u32) -> &mut TenantSlot {
+        let i = self
+            .tenants
+            .binary_search_by_key(&id, |t| t.id)
+            .expect("request belongs to a hosted tenant");
+        &mut self.tenants[i]
+    }
+
     /// Records a batch's completion at `completed_at`: per-request
     /// latency into the tenant histograms, deadline-miss vs goodput, and
     /// the in-flight ledger.
     pub fn complete_batch(&mut self, batch: &Batch, completed_at: Time) {
         for r in &batch.requests {
-            let slot = self
-                .tenants
-                .iter_mut()
-                .find(|t| t.id == r.tenant)
-                .expect("request belongs to a hosted tenant");
+            let slot = self.hosted_mut(r.tenant);
             slot.completed += 1;
             slot.latency_ns
                 .record(completed_at.since(r.arrival).as_ns());
@@ -1107,11 +1117,7 @@ impl ServePlane {
     /// in-flight ledger.
     pub fn fail_batch(&mut self, batch: &Batch, failed_at: Time) {
         for r in &batch.requests {
-            let slot = self
-                .tenants
-                .iter_mut()
-                .find(|t| t.id == r.tenant)
-                .expect("request belongs to a hosted tenant");
+            let slot = self.hosted_mut(r.tenant);
             slot.failed += 1;
             self.slo.observe(RequestJourney {
                 id: r.id,
@@ -2070,6 +2076,13 @@ mod tests {
                 "truncated stream at {cut} restored fully"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn for_tenants_refuses_unsorted_ids() {
+        let spec = ServeSpec::parse("seed=1,tenants=3").unwrap();
+        ServePlane::for_tenants(&spec, 1, &[2, 0]);
     }
 
     #[test]

@@ -53,11 +53,8 @@ pub mod invariant {
     /// (immutable) topology.
     pub const NOC_ROUTE_MEMO_FRESH: &str = "noc.route_memo_fresh";
     /// Message/packet conservation: every transfer is accounted exactly once
-    /// in the hop histogram, queueing stats and route-memo counters.
+    /// in the queueing stats, and the route-memo counters cover every one.
     pub const NOC_CONSERVATION: &str = "noc.conservation";
-    /// Link bookkeeping agreement: busy-time and free-at maps track the same
-    /// link set.
-    pub const NOC_LINK_BOOKKEEPING: &str = "noc.link_bookkeeping";
     /// No task index appears more than once across worker queues, the central
     /// queue and in-flight slots.
     pub const SCHED_NO_DUPLICATE_TASKS: &str = "sched.no_duplicate_tasks";
@@ -65,7 +62,7 @@ pub mod invariant {
     pub const SCHED_TASK_CONSERVATION: &str = "sched.task_conservation";
     /// No two placements overlap and every placement fits the fabric.
     pub const FABRIC_REGION_EXCLUSIVE: &str = "fabric.region_exclusive";
-    /// Each placed region still satisfies the resource demand recorded for it.
+    /// Each placed region still satisfies its placement's resource demand.
     pub const FABRIC_DEMAND_SATISFIED: &str = "fabric.demand_satisfied";
     /// The daemon's loaded-module map and the floorplanner's placements
     /// describe the same residency (bitstream bookkeeping agreement).
@@ -134,11 +131,7 @@ pub mod invariant {
         ),
         (
             NOC_CONSERVATION,
-            "transfers conserved across hop/queue accounting",
-        ),
-        (
-            NOC_LINK_BOOKKEEPING,
-            "busy-time and free-at track same link set",
+            "transfers conserved across queue/memo accounting",
         ),
         (SCHED_NO_DUPLICATE_TASKS, "no task queued or running twice"),
         (SCHED_TASK_CONSERVATION, "completed + lost == submitted"),

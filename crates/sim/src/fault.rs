@@ -81,7 +81,9 @@ pub struct CampaignSpec {
     /// Mean time between SEU upsets in configured fabric modules
     /// (zero = off).
     pub seu_mtbf: Duration,
-    /// Configuration-memory scrub period (zero = never scrub).
+    /// Configuration-memory scrub period. Zero (the default; `parse`
+    /// refuses an explicit zero) leaves the SEU scrubber at its 1 ms
+    /// period.
     pub scrub_period: Duration,
 }
 
@@ -155,10 +157,14 @@ impl CampaignSpec {
     /// # Errors
     ///
     /// [`SpecParseError`] names the offending pair. A key given twice is
-    /// refused rather than letting the last value win.
+    /// refused rather than letting the last value win. Every duration
+    /// must be positive: a fault is left off by omitting its key, not by
+    /// `crash=0ns`. `stall_for` without `stall`, and `link_for` or
+    /// `link_slowdown` without `link`, are refused because they configure
+    /// nothing (and `Display` would drop them).
     pub fn parse(s: &str) -> Result<CampaignSpec, SpecParseError> {
         let mut spec = CampaignSpec::off();
-        let mut seen: Vec<&str> = Vec::new();
+        let mut seen: Vec<(&str, &str)> = Vec::new();
         for pair in s.split(',') {
             let pair = pair.trim();
             if pair.is_empty() {
@@ -172,68 +178,57 @@ impl CampaignSpec {
                 pair: pair.to_owned(),
                 reason: reason.to_owned(),
             };
+            let dur = |example: &str| match parse_duration(value) {
+                None => Err(bad(&format!("duration like {example}"))),
+                Some(d) if d.is_zero() => Err(bad(
+                    "duration must be positive (omit a fault's key to leave it off)",
+                )),
+                Some(d) => Ok(d),
+            };
+            let prob =
+                || parse_prob_or_factor(value, 0.0, 1.0).ok_or_else(|| bad("probability in [0,1]"));
             let key = key.trim();
-            if seen.contains(&key) {
+            if seen.iter().any(|&(k, _)| k == key) {
                 return Err(bad(&format!("key `{key}` given more than once")));
             }
-            seen.push(key);
+            seen.push((key, pair));
             match key {
                 "seed" => {
                     spec.seed = value.trim().parse().map_err(|_| bad("seed wants a u64"))?;
                 }
-                "crash" => {
-                    spec.worker_crash_mtbf =
-                        parse_duration(value).ok_or_else(|| bad("duration like 5ms"))?
-                }
-                "stall" => {
-                    spec.worker_stall_mtbf =
-                        parse_duration(value).ok_or_else(|| bad("duration like 2ms"))?
-                }
-                "stall_for" => {
-                    spec.worker_stall_for =
-                        parse_duration(value).ok_or_else(|| bad("duration like 300us"))?
-                }
-                "link" => {
-                    spec.link_degrade_mtbf =
-                        parse_duration(value).ok_or_else(|| bad("duration like 400us"))?
-                }
-                "link_for" => {
-                    spec.link_degrade_for =
-                        parse_duration(value).ok_or_else(|| bad("duration like 150us"))?
-                }
+                "crash" => spec.worker_crash_mtbf = dur("5ms")?,
+                "stall" => spec.worker_stall_mtbf = dur("2ms")?,
+                "stall_for" => spec.worker_stall_for = dur("300us")?,
+                "link" => spec.link_degrade_mtbf = dur("400us")?,
+                "link_for" => spec.link_degrade_for = dur("150us")?,
                 "link_slowdown" => {
                     spec.link_slowdown = parse_prob_or_factor(value, 1.0, f64::MAX)
                         .ok_or_else(|| bad("factor >= 1"))?;
                 }
-                "corrupt" => {
-                    spec.packet_corrupt_p = parse_prob_or_factor(value, 0.0, 1.0)
-                        .ok_or_else(|| bad("probability in [0,1]"))?;
-                }
-                "smmu" => {
-                    spec.smmu_fault_p = parse_prob_or_factor(value, 0.0, 1.0)
-                        .ok_or_else(|| bad("probability in [0,1]"))?;
-                }
-                "dram" => {
-                    spec.dram_bit_error_p = parse_prob_or_factor(value, 0.0, 1.0)
-                        .ok_or_else(|| bad("probability in [0,1]"))?;
-                }
-                "seu" => {
-                    spec.seu_mtbf =
-                        parse_duration(value).ok_or_else(|| bad("duration like 500us"))?
-                }
-                "scrub" => {
-                    spec.scrub_period =
-                        parse_duration(value).ok_or_else(|| bad("duration like 200us"))?
-                }
+                "corrupt" => spec.packet_corrupt_p = prob()?,
+                "smmu" => spec.smmu_fault_p = prob()?,
+                "dram" => spec.dram_bit_error_p = prob()?,
+                "seu" => spec.seu_mtbf = dur("500us")?,
+                "scrub" => spec.scrub_period = dur("200us")?,
                 other => {
-                    return Err(SpecParseError {
-                        pair: pair.to_owned(),
-                        reason: format!(
-                            "unknown key `{other}` (want seed, crash, stall, stall_for, link, \
-                             link_for, link_slowdown, corrupt, smmu, dram, seu, scrub)"
-                        ),
-                    });
+                    return Err(bad(&format!(
+                        "unknown key `{other}` (want seed, crash, stall, stall_for, link, \
+                         link_for, link_slowdown, corrupt, smmu, dram, seu, scrub)"
+                    )));
                 }
+            }
+        }
+        let given = |key: &str| seen.iter().find(|&&(k, _)| k == key).map(|&(_, pair)| pair);
+        for (detail, fault) in [
+            ("stall_for", "stall"),
+            ("link_for", "link"),
+            ("link_slowdown", "link"),
+        ] {
+            if let (Some(pair), None) = (given(detail), given(fault)) {
+                return Err(SpecParseError {
+                    pair: pair.to_owned(),
+                    reason: format!("`{detail}` needs `{fault}`: without it nothing faults"),
+                });
             }
         }
         Ok(spec)
@@ -578,6 +573,30 @@ mod tests {
         assert!(err.to_string().contains("key `seed` given more than once"));
         // spacing does not make a repeat a new key
         assert!(CampaignSpec::parse("crash=1ms, crash =2ms").is_err());
+    }
+
+    #[test]
+    fn parse_refuses_zero_durations_and_orphaned_details() {
+        for (text, pair) in [
+            ("seed=1,crash=0ns", "crash=0ns"),
+            ("stall=0ms", "stall=0ms"),
+            ("link=0us", "link=0us"),
+            ("seed=1,seu=0s", "seu=0s"),
+            ("stall=1ms,stall_for=0us", "stall_for=0us"),
+            ("link=1ms,link_for=0ns", "link_for=0ns"),
+            ("seu=1ms,scrub=0ms", "scrub=0ms"),
+            ("seed=1,stall_for=100us", "stall_for=100us"),
+            ("link_for=100us,crash=1ms", "link_for=100us"),
+            ("link_slowdown=2", "link_slowdown=2"),
+        ] {
+            let err = CampaignSpec::parse(text).expect_err(text);
+            assert_eq!(err.pair, pair, "{text}");
+            assert!(err.to_string().contains(pair), "{err}");
+        }
+        // the details parse with their fault, and round-trip through Display
+        let spec = CampaignSpec::parse("stall_for=100us,link_slowdown=2,link=1ms,stall=1ms")
+            .expect("details with their faults");
+        assert_eq!(CampaignSpec::parse(&spec.to_string()), Ok(spec));
     }
 
     #[test]

@@ -137,6 +137,10 @@ cargo run --quiet --offline --release --manifest-path perfbench/Cargo.toml -- \
     --workload kernel_calls --seed 1 --seconds 1 --trace 0 > target/perfbench_smoke.txt
 cargo run --quiet --offline --release --manifest-path perfbench/Cargo.toml -- \
     --workload cluster_sched --seed 1 --seconds 1 --trace 0 > target/perfbench_sched_smoke.txt
+# The held-out digest seed, so a scheduler change cannot be tuned to the
+# seeds the smoke runs use.
+cargo run --quiet --offline --release --manifest-path perfbench/Cargo.toml -- \
+    --workload cluster_sched --seed 9001 --seconds 1 --trace 0 > target/perfbench_sched_9001.txt
 
 echo "== regenerate experiment snapshot (target/) =="
 ./target/release/exp_all > target/bench_output_tables.txt
